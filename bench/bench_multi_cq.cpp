@@ -2,9 +2,9 @@
 // CqManager carrying 64 standing queries over a hot table, driven commit
 // by commit. Arg(0) is the evaluation lane count — the same workload at
 // --threads 1 is the sequential baseline the determinism contract pins,
-// and the 2/4-lane rows show the commit-to-notify speedup the dispatcher
-// buys by snapshotting each relation's delta once and fanning the
-// trigger-eligible CQs across the pool.
+// and the 2/4-lane rows measure what fanning the CQs' evaluation across
+// the pool (contiguous handle-order chunks, delivered serially after)
+// does to commit-to-notify time.
 //
 // Two companion rows bound the observability layer itself:
 //   * BM_MultiCqTracedCommit runs the 4-lane workload with span tracing
@@ -44,14 +44,15 @@ constexpr std::size_t kCommits = kRounds * (kUpdatesPerRound / kUpdatesPerCommit
 /// eager manager at the requested lane count.
 struct MultiCqWorkload {
   cat::Database db;
+  common::Rng rng;  // SweepTable keeps a reference: must outlive `table`
   std::unique_ptr<wl::SweepTable> table;
   std::unique_ptr<core::CqManager> manager;
 };
 
 std::unique_ptr<MultiCqWorkload> make_workload(std::size_t threads) {
   auto w = std::make_unique<MultiCqWorkload>();
-  common::Rng rng(0x64c0 ^ threads);
-  w->table = std::make_unique<wl::SweepTable>(w->db, "S", kRows, 64, rng);
+  w->rng = common::Rng(0x64c0 ^ threads);
+  w->table = std::make_unique<wl::SweepTable>(w->db, "S", kRows, 64, w->rng);
   w->manager = std::make_unique<core::CqManager>(w->db);
   for (std::size_t i = 0; i < kCqs; ++i) {
     // Overlapping 4%-wide key bands: every commit is relevant to every

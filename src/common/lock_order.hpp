@@ -70,9 +70,6 @@ enum class LockRank : std::uint16_t {
   /// engine-side locks above are (possibly) held; never held across task
   /// execution (drain releases it around run_task).
   kPool = 40,
-  /// DeltaSnapshot memoization — taken by pool workers during parallel
-  /// evaluation.
-  kDeltaSnapshot = 50,
   /// DeltaRelation GC pin counts (pin_reads / truncate_before).
   kDeltaPins = 55,
   /// rel::prov relation-name interner.

@@ -390,7 +390,7 @@ inline constexpr const char* kPollUs = "poll_us";
 inline constexpr const char* kGcUs = "gc_us";
 inline constexpr const char* kSyncUs = "sync_us";
 inline constexpr const char* kNetTransferUs = "net_transfer_us";  // simulated
-/// One parallel evaluation batch (a worker's slice of a commit dispatch).
+/// One evaluation chunk (a lane's handle-order slice of a dispatch).
 inline constexpr const char* kEvalBatchUs = "eval_batch_us";
 /// Full commit pipeline: transaction commit through the last CQ
 /// notification leaving the manager (recorded by CommitTrace).

@@ -68,20 +68,16 @@ rel::Relation ContinualQuery::delivered_aggregate() const {
   return out;
 }
 
-TriggerContext ContinualQuery::context(const cat::Database& db,
-                                       const delta::SnapshotMap* snapshots) const {
-  return TriggerContext{db,  relations_,  last_exec_,
-                        db.clock().now(), executions_, snapshots};
+TriggerContext ContinualQuery::context(const cat::Database& db) const {
+  return TriggerContext{db, relations_, last_exec_, db.clock().now(), executions_};
 }
 
-bool ContinualQuery::should_fire(const cat::Database& db,
-                                 const delta::SnapshotMap* snapshots) const {
-  return !finished_ && spec_.trigger->should_fire(context(db, snapshots));
+bool ContinualQuery::should_fire(const cat::Database& db) const {
+  return !finished_ && spec_.trigger->should_fire(context(db));
 }
 
-bool ContinualQuery::should_stop(const cat::Database& db,
-                                 const delta::SnapshotMap* snapshots) const {
-  return finished_ || spec_.stop->satisfied(context(db, snapshots));
+bool ContinualQuery::should_stop(const cat::Database& db) const {
+  return finished_ || spec_.stop->satisfied(context(db));
 }
 
 ContinualQuery::Staleness ContinualQuery::staleness(const cat::Database& db) const {
@@ -356,7 +352,7 @@ void ContinualQuery::restore(const cat::Database& db, Timestamp last_execution,
 }
 
 Notification ContinualQuery::execute(const cat::Database& db, common::Metrics* metrics,
-                                     DraStats* stats, const delta::SnapshotMap* snapshots) {
+                                     DraStats* stats) {
   if (executions_ == 0) return execute_initial(db, metrics);
   if (needs_reprime()) {
     // State the strategy/mode relies on is gone (explicit invalidation, or
@@ -372,8 +368,7 @@ Notification ContinualQuery::execute(const cat::Database& db, common::Metrics* m
   // ---- ΔQ of the SPJ core ----
   DiffResult raw;
   if (spec_.strategy == ExecutionStrategy::kDra) {
-    raw = dra_differential(core, db, last_exec_, metrics, spec_.dra_options, stats,
-                           snapshots);
+    raw = dra_differential(core, db, last_exec_, metrics, spec_.dra_options, stats);
     if (saved_result_) saved_result_ = apply_diff(*saved_result_, raw);
   } else {
     Relation current = recompute(core, db, metrics);

@@ -129,12 +129,9 @@ class ContinualQuery {
                                              common::Metrics* metrics = nullptr);
 
   /// Subsequent execution E_i, differential per the configured strategy.
-  /// `snapshots` (optional) routes delta reads through the per-dispatch
-  /// pinned snapshot set built by the parallel evaluation engine.
   [[nodiscard]] Notification execute(const cat::Database& db,
                                      common::Metrics* metrics = nullptr,
-                                     DraStats* stats = nullptr,
-                                     const delta::SnapshotMap* snapshots = nullptr);
+                                     DraStats* stats = nullptr);
 
   /// Restore the runtime state of a CQ that had last executed at
   /// `last_execution` (with `executions` completed) against a database
@@ -148,10 +145,8 @@ class ContinualQuery {
                std::uint64_t executions);
 
   /// Evaluate the trigger / stop conditions.
-  [[nodiscard]] bool should_fire(const cat::Database& db,
-                                 const delta::SnapshotMap* snapshots = nullptr) const;
-  [[nodiscard]] bool should_stop(const cat::Database& db,
-                                 const delta::SnapshotMap* snapshots = nullptr) const;
+  [[nodiscard]] bool should_fire(const cat::Database& db) const;
+  [[nodiscard]] bool should_stop(const cat::Database& db) const;
   void mark_finished() noexcept { finished_ = true; }
 
   /// Drop every maintained per-mode artifact (saved previous result,
@@ -191,8 +186,7 @@ class ContinualQuery {
   [[nodiscard]] std::string explain(const cat::Database& db) const;
 
  private:
-  [[nodiscard]] TriggerContext context(const cat::Database& db,
-                                       const delta::SnapshotMap* snapshots) const;
+  [[nodiscard]] TriggerContext context(const cat::Database& db) const;
   [[nodiscard]] qry::SpjQuery spj_core() const;
   /// The aggregate relation as the user sees it (HAVING applied).
   [[nodiscard]] rel::Relation delivered_aggregate() const;

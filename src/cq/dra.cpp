@@ -87,7 +87,7 @@ std::vector<std::string> canonical_names(const std::vector<rel::Schema>& schemas
 
 DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
                             Timestamp since, Metrics* metrics, const DraOptions& options,
-                            DraStats* stats, const delta::SnapshotMap* snapshots) {
+                            DraStats* stats) {
   query.validate();
   if (query.is_aggregate() || query.distinct) {
     throw common::InvalidArgument(
@@ -127,18 +127,13 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   std::vector<Signed> delta(n);       // filtered, qualified ΔRi (signed)
   std::vector<std::size_t> changed;   // indexes of changed FROM entries
   for (std::size_t i = 0; i < n; ++i) {
-    const cq::delta::DeltaSnapshot* snap = nullptr;
-    if (snapshots != nullptr) {
-      auto it = snapshots->find(query.from[i].table);
-      if (it != snapshots->end()) snap = it->second.get();
-    }
     const auto& d = db.delta(query.from[i].table);
-    // Pin before reading ΔRi directly: GC must not truncate the window
-    // between changed_since and the insertions/deletions copies.
+    // Pin before reading ΔRi: GC must not truncate the window between
+    // changed_since and the insertions/deletions copies.
     const auto pin = d.pin_reads();
-    if (snap != nullptr ? !snap->changed_since(since) : !d.changed_since(since)) continue;
-    Relation ins = snap != nullptr ? snap->insertions(since) : d.insertions(since);
-    Relation del = snap != nullptr ? snap->deletions(since) : d.deletions(since);
+    if (!d.changed_since(since)) continue;
+    Relation ins = d.insertions(since);
+    Relation del = d.deletions(since);
     st.delta_rows_read += ins.size() + del.size();
     if (metrics != nullptr) {
       metrics->add(common::metric::kDeltaRowsScanned,

@@ -29,7 +29,6 @@
 #include "common/metrics.hpp"
 #include "common/timestamp.hpp"
 #include "cq/diff.hpp"
-#include "delta/delta_snapshot.hpp"
 #include "query/ast.hpp"
 
 namespace cq::core {
@@ -63,18 +62,14 @@ struct DraStats {
 /// `since`. Aggregates/DISTINCT must be handled by the caller (the
 /// ContinualQuery layer maintains them incrementally on top of ΔQ).
 ///
-/// When `snapshots` is non-null, delta reads for relations present in the
-/// map go through the shared pinned DeltaSnapshot instead of the live log
-/// (the parallel evaluation engine builds one map per commit); relations
-/// absent from the map fall back to db.delta(). Base-table reads always
-/// hit the live catalog — commits are serialized with dispatch, so the
-/// base state cannot move underneath an evaluation.
+/// Delta and base-table reads both hit the live catalog: commits to the
+/// CQ's relations are serialized with dispatch, so neither can move
+/// underneath an evaluation, and each ΔRi read holds its own GC pin.
 [[nodiscard]] DiffResult dra_differential(const qry::SpjQuery& query,
                                           const cat::Database& db,
                                           common::Timestamp since,
                                           common::Metrics* metrics = nullptr,
                                           const DraOptions& options = {},
-                                          DraStats* stats = nullptr,
-                                          const delta::SnapshotMap* snapshots = nullptr);
+                                          DraStats* stats = nullptr);
 
 }  // namespace cq::core

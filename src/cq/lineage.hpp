@@ -10,9 +10,9 @@
 // EXPLAIN NOTIFICATION derivation (base rows → operator path → output
 // row), and feeds the lineage_fanin histogram + lineage_bytes gauge.
 //
-// Thread safety: recording happens at the manager's serialized delivery
-// points (sequential run, parallel merge, execute_now) while the
-// introspection HTTP server reads from its own thread — hence the mutex.
+// Thread safety: recording happens in the manager's deliver step, on the
+// dispatching thread and in handle order, while the introspection HTTP
+// server reads from its own thread — hence the mutex.
 #pragma once
 
 #include <cstdint>

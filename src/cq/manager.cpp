@@ -59,7 +59,7 @@ class DispatchGuard {
 };
 
 /// Claims the shared thread pool for one dispatch; concurrent dispatches
-/// that lose the race evaluate their batches inline instead of waiting
+/// that lose the race evaluate their chunks inline instead of waiting
 /// (run_all is not reentrant and must not be entered twice).
 class PoolLease {
  public:
@@ -142,26 +142,13 @@ CqHandle CqManager::install(CqSpec spec, std::shared_ptr<ResultSink> sink) {
   entry.sink = std::move(sink);
 
   obs::Span span("cq.install");
-  common::Metrics local;
+  Outcome initial{.entry = &entry, .forced = true, .initial = true, .fired = true};
   const std::uint64_t t0 = obs::now_ns();
-  const Notification initial = entry.query->execute_initial(db_, &local);
-  const std::uint64_t elapsed = obs::now_ns() - t0;
+  initial.note = entry.query->execute_initial(db_, &initial.local);
+  initial.elapsed_ns = obs::now_ns() - t0;
   entry.zone_id = db_.zones().register_cq(entry.query->last_execution());
-  record_lineage(initial);
-  if (entry.sink) entry.sink->on_result(initial);
-
-  {
-    common::LockGuard lock(stats_mu_);
-    metrics_.merge(local);
-    CqStats& s = stats_of(entry);
-    s.executions = 1;
-    s.finished = false;
-    s.last_exec_ns = elapsed;
-    s.total_exec_ns += elapsed;
-    s.rows_delivered += rows_delivered(initial);
-    s.last_execution = entry.query->last_execution();
-  }
-  if (obs::enabled()) cq_exec_histogram().record(elapsed / 1000);
+  deliver(initial);
+  if (initial.error) std::rethrow_exception(initial.error);
 
   common::log_info("installed CQ '", entry.query->name(), "' trigger=",
                    entry.query->spec().trigger->describe());
@@ -242,100 +229,155 @@ void CqManager::finish(CqHandle handle) {
   active_cq_gauge().set(static_cast<std::int64_t>(entries_.size()));
 }
 
-void CqManager::record_check(const Entry& entry, bool fired) {
-  {
-    common::LockGuard lock(stats_mu_);
-    CqStats& s = stats_of(entry);
-    ++s.trigger_checks;
-    if (fired) {
-      ++s.fired;
-      metrics_.add(common::metric::kTriggersFired, 1);
-    } else {
-      ++s.suppressed;
-      metrics_.add(common::metric::kTriggersSuppressed, 1);
+void CqManager::evaluate(Outcome& o) {
+  try {
+    ContinualQuery& query = *o.entry->query;
+    if (!o.forced) {
+      o.stop = query.should_stop(db_);
+      if (o.stop) return;
+      o.fired = query.should_fire(db_);
+      if (!o.fired) return;
     }
-  }
-  if (fired) {
-    if (obs::enabled()) {
-      obs::event(obs::Severity::kInfo, "trigger_fired", entry.query->name(), "",
-                 db_.clock().now().ticks());
-    }
-  } else {
-    if (obs::enabled()) {
-      obs::event(obs::Severity::kDebug, "trigger_suppressed", entry.query->name(), "",
-                 db_.clock().now().ticks());
-    }
+    obs::Span span("cq.run");
+    const std::uint64_t t0 = obs::now_ns();
+    o.note = query.execute(db_, &o.local, &o.stats);
+    o.elapsed_ns = obs::now_ns() - t0;
+    o.stop = query.should_stop(db_);
+  } catch (...) {
+    o.error = std::current_exception();
   }
 }
 
-void CqManager::run(CqHandle handle, Entry& entry) {
-  obs::Span span("cq.run");
-  DraStats stats;
-  common::Metrics local;
-  const std::uint64_t t0 = obs::now_ns();
-  const Notification note = entry.query->execute(db_, &local, &stats);
-  const std::uint64_t elapsed = obs::now_ns() - t0;
-
+void CqManager::deliver(Outcome& o) {
+  const Entry& entry = *o.entry;
+  const std::string& name = entry.query->name();
+  // A trigger was tested unless the run was forced, Stop held first, or
+  // the evaluation failed.
+  const bool checked = !o.forced && !o.error && (o.fired || !o.stop);
+  const bool executed = o.fired && !o.error;
   {
     common::LockGuard lock(stats_mu_);
-    last_stats_ = stats;
-    metrics_.merge(local);
+    if (!o.forced) metrics_.add(common::metric::kTriggerChecks, 1);
     CqStats& s = stats_of(entry);
-    ++s.executions;
-    s.last_exec_ns = elapsed;
-    s.total_exec_ns += elapsed;
-    s.delta_rows_consumed += stats.delta_rows_read;
-    s.rows_delivered += rows_delivered(note);
-    s.last_execution = entry.query->last_execution();
+    if (checked) {
+      ++s.trigger_checks;
+      if (o.fired) {
+        ++s.fired;
+        metrics_.add(common::metric::kTriggersFired, 1);
+      } else {
+        ++s.suppressed;
+        metrics_.add(common::metric::kTriggersSuppressed, 1);
+      }
+    }
+    if (executed) {
+      if (!o.initial) last_stats_ = o.stats;
+      metrics_.merge(o.local);
+      s.executions = o.initial ? 1 : s.executions + 1;
+      s.finished = false;
+      s.last_exec_ns = o.elapsed_ns;
+      s.total_exec_ns += o.elapsed_ns;
+      s.delta_rows_consumed += o.stats.delta_rows_read;
+      s.rows_delivered += rows_delivered(o.note);
+      s.last_execution = entry.query->last_execution();
+    }
   }
-  if (obs::enabled()) {
-    cq_exec_histogram().record(elapsed / 1000);
-    obs::event(obs::Severity::kInfo, "cq_delivered", entry.query->name(),
-               std::to_string(rows_delivered(note)) + " row(s)",
-               entry.query->last_execution().ticks());
+  if (checked && obs::enabled()) {
+    obs::event(o.fired ? obs::Severity::kInfo : obs::Severity::kDebug,
+               o.fired ? "trigger_fired" : "trigger_suppressed", name, "",
+               db_.clock().now().ticks());
   }
-
-  db_.zones().advance(entry.zone_id, entry.query->last_execution());
-  record_lineage(note);
-  if (entry.sink) {
-    obs::Span notify_span("cq.notify");
-    entry.sink->on_result(note);
+  if (executed) {
+    if (obs::enabled()) {
+      cq_exec_histogram().record(o.elapsed_ns / 1000);
+      if (!o.initial) {
+        obs::event(obs::Severity::kInfo, "cq_delivered", name,
+                   std::to_string(rows_delivered(o.note)) + " row(s)",
+                   entry.query->last_execution().ticks());
+      }
+    }
+    db_.zones().advance(entry.zone_id, entry.query->last_execution());
+    record_lineage(o.note);
+    if (entry.sink) {
+      obs::Span notify_span("cq.notify");
+      try {
+        entry.sink->on_result(o.note);
+      } catch (...) {
+        o.error = std::current_exception();
+      }
+    }
   }
-  if (entry.query->should_stop(db_)) {
+  if (o.stop) {
     entry.query->mark_finished();
-    finish(handle);
+    finish(o.handle);
   }
+}
+
+std::size_t CqManager::dispatch(const std::vector<CqHandle>& handles) {
+  // One CQ's failure never costs another its delivery: errors wait in
+  // their outcomes and the first is rethrown once every CQ is delivered.
+  std::size_t executed = 0;
+  std::exception_ptr first_error;
+  const auto deliver_one = [&](Outcome& o) {
+    deliver(o);
+    if (o.fired) ++executed;
+    if (o.error && !first_error) first_error = o.error;
+  };
+
+  if (threads_ == 1) {
+    // Inline, one outcome at a time: a per-dispatch outcome vector
+    // measurably raised notify p99 under concurrent eager writers.
+    for (const CqHandle h : handles) {
+      Entry* entry = find_entry(h);
+      if (entry == nullptr) continue;
+      Outcome o{.handle = h, .entry = entry};
+      evaluate(o);
+      deliver_one(o);
+    }
+  } else {
+    std::vector<Outcome> outcomes;
+    outcomes.reserve(handles.size());
+    for (const CqHandle h : handles) {
+      Entry* entry = find_entry(h);
+      if (entry != nullptr) outcomes.push_back(Outcome{.handle = h, .entry = entry});
+    }
+    // Lanes only move evaluate() onto the pool, one contiguous handle-order
+    // chunk per lane; every side effect stays in deliver(), serially.
+    static obs::Histogram& batch_hist = obs::global().histogram(obs::hist::kEvalBatchUs);
+    const std::size_t chunk = (outcomes.size() + threads_ - 1) / threads_;
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t begin = 0; begin < outcomes.size(); begin += chunk) {
+      const std::size_t end = std::min(begin + chunk, outcomes.size());
+      tasks.emplace_back([this, &outcomes, begin, end] {
+        // Lands on the executing lane's track, carrying the dispatching
+        // commit's trace id (the pool adopts the dispatcher's context).
+        obs::Span batch_span("eval.batch", &batch_hist);
+        for (std::size_t i = begin; i < end; ++i) evaluate(outcomes[i]);
+      });
+    }
+    parallelism_gauge().set(static_cast<std::int64_t>(tasks.size()));
+    {
+      obs::Span eval_span("commit.eval");
+      // One pool, many possible dispatchers: the lease loser (a concurrent
+      // commit over disjoint shards) evaluates its chunks on its own
+      // thread — same results, no cross-dispatch wait.
+      PoolLease lease(pool_busy_);
+      if (lease.owned()) {
+        if (!pool_) pool_ = std::make_unique<common::ThreadPool>(threads_ - 1);
+        pool_->run_all(std::move(tasks));
+      } else {
+        for (auto& task : tasks) task();
+      }
+    }
+    for (Outcome& o : outcomes) deliver_one(o);
+  }
+  if (first_error) std::rethrow_exception(first_error);
+  return executed;
 }
 
 std::size_t CqManager::poll() {
   static obs::Histogram& poll_hist = obs::global().histogram(obs::hist::kPollUs);
   obs::Span span("cq.poll", &poll_hist);
-  std::size_t executed = 0;
-  // Snapshot handles: run() may erase finished entries.
-  const std::vector<CqHandle> handles = relevant_handles(nullptr);
-
-  if (threads_ > 1) return dispatch_parallel(handles);
-
-  for (const CqHandle h : handles) {
-    Entry* entry = find_entry(h);
-    if (entry == nullptr) continue;
-    {
-      common::LockGuard lock(stats_mu_);
-      metrics_.add(common::metric::kTriggerChecks, 1);
-    }
-    if (entry->query->should_stop(db_)) {
-      entry->query->mark_finished();
-      finish(h);
-      continue;
-    }
-    const bool fire = entry->query->should_fire(db_);
-    record_check(*entry, fire);
-    if (fire) {
-      run(h, *entry);
-      ++executed;
-    }
-  }
-  return executed;
+  return dispatch(relevant_handles(nullptr));
 }
 
 void CqManager::set_parallelism(std::size_t threads) {
@@ -344,167 +386,6 @@ void CqManager::set_parallelism(std::size_t threads) {
   threads_ = lanes;
   pool_.reset();  // rebuilt lazily at the next dispatch with the new width
   parallelism_gauge().set(static_cast<std::int64_t>(threads_));
-}
-
-std::size_t CqManager::dispatch_parallel(const std::vector<CqHandle>& handles) {
-  if (handles.empty()) return 0;
-
-  // ---- one outcome slot per eligible CQ, in handle order ----
-  struct Outcome {
-    CqHandle handle = 0;
-    Entry* entry = nullptr;
-    bool stop_pre = false;
-    bool fired = false;
-    bool stop_post = false;
-    Notification note;
-    DraStats stats;
-    common::Metrics local;  // merged into metrics_ in handle order
-    std::uint64_t elapsed_ns = 0;
-    std::exception_ptr error;
-  };
-  std::vector<Outcome> outcomes;
-  outcomes.reserve(handles.size());
-  for (const CqHandle h : handles) {
-    Entry* entry = find_entry(h);
-    if (entry == nullptr) continue;
-    Outcome o;
-    o.handle = h;
-    o.entry = entry;
-    outcomes.push_back(std::move(o));
-  }
-  if (outcomes.empty()) return 0;
-
-  // ---- snapshot each touched delta once, shared by every eligible CQ ----
-  obs::Span snapshot_span("commit.snapshot");
-  delta::SnapshotMap snapshots;
-  for (const Outcome& o : outcomes) {
-    for (const auto& table : o.entry->query->relations()) {
-      if (!snapshots.contains(table)) {
-        snapshots.emplace(table,
-                          std::make_shared<delta::DeltaSnapshot>(db_.delta(table)));
-      }
-    }
-  }
-  snapshot_span.close();
-
-  // ---- partition into batches keyed by the relations each CQ reads ----
-  // CQs over one read set share the snapshot's memoized views, so keeping
-  // them on one lane maximizes cache reuse; a single hot read set is still
-  // sub-chunked so it spreads across all lanes instead of serializing.
-  std::map<std::string, std::vector<std::size_t>> by_read_set;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    std::vector<std::string> key_parts = outcomes[i].entry->query->relations();
-    std::sort(key_parts.begin(), key_parts.end());
-    std::string key;
-    for (const auto& part : key_parts) {
-      key += part;
-      key += ',';
-    }
-    by_read_set[key].push_back(i);
-  }
-  std::vector<std::vector<std::size_t>> batches;
-  for (auto& [key, members] : by_read_set) {
-    const std::size_t chunk = (members.size() + threads_ - 1) / threads_;
-    for (std::size_t start = 0; start < members.size(); start += chunk) {
-      const std::size_t stop = std::min(start + chunk, members.size());
-      batches.emplace_back(members.begin() + static_cast<std::ptrdiff_t>(start),
-                           members.begin() + static_cast<std::ptrdiff_t>(stop));
-    }
-  }
-  parallelism_gauge().set(
-      static_cast<std::int64_t>(std::min(threads_, batches.size())));
-
-  // ---- evaluate: workers do pure reads + per-CQ state transitions ----
-  static obs::Histogram& batch_hist = obs::global().histogram(obs::hist::kEvalBatchUs);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(batches.size());
-  for (auto& batch : batches) {
-    tasks.emplace_back([this, &snapshots, &outcomes, batch = std::move(batch)] {
-      // Lands on the executing lane's track, carrying the dispatching
-      // commit's trace id (the pool adopts the dispatcher's context).
-      obs::Span batch_span("eval.batch", &batch_hist);
-      for (const std::size_t i : batch) {
-        Outcome& out = outcomes[i];
-        try {
-          ContinualQuery& query = *out.entry->query;
-          out.stop_pre = query.should_stop(db_, &snapshots);
-          if (out.stop_pre) continue;
-          out.fired = query.should_fire(db_, &snapshots);
-          if (!out.fired) continue;
-          obs::Span span("cq.run");
-          const std::uint64_t t0 = obs::now_ns();
-          out.note = query.execute(db_, &out.local, &out.stats, &snapshots);
-          out.elapsed_ns = obs::now_ns() - t0;
-          out.stop_post = query.should_stop(db_, &snapshots);
-        } catch (...) {
-          out.error = std::current_exception();
-        }
-      }
-    });
-  }
-  {
-    obs::Span eval_span("commit.eval");
-    // One pool, many possible dispatchers: the lease loser (a concurrent
-    // commit over disjoint shards) evaluates its batches on its own
-    // thread — same results, no cross-dispatch wait.
-    PoolLease lease(pool_busy_);
-    if (lease.owned()) {
-      if (!pool_) pool_ = std::make_unique<common::ThreadPool>(threads_ - 1);
-      pool_->run_all(std::move(tasks));
-    } else {
-      for (auto& task : tasks) task();
-    }
-  }
-
-  // ---- merge: replay every side effect in handle order, exactly as the
-  // sequential loop would have produced it ----
-  obs::Span merge_span("commit.merge");
-  std::size_t executed = 0;
-  for (Outcome& out : outcomes) {
-    {
-      common::LockGuard lock(stats_mu_);
-      metrics_.add(common::metric::kTriggerChecks, 1);
-    }
-    if (out.error) std::rethrow_exception(out.error);
-    Entry& entry = *out.entry;
-    if (out.stop_pre) {
-      entry.query->mark_finished();
-      finish(out.handle);
-      continue;
-    }
-    record_check(entry, out.fired);
-    if (!out.fired) continue;
-    ++executed;
-    {
-      common::LockGuard lock(stats_mu_);
-      last_stats_ = out.stats;
-      metrics_.merge(out.local);
-      CqStats& s = stats_of(entry);
-      ++s.executions;
-      s.last_exec_ns = out.elapsed_ns;
-      s.total_exec_ns += out.elapsed_ns;
-      s.delta_rows_consumed += out.stats.delta_rows_read;
-      s.rows_delivered += rows_delivered(out.note);
-      s.last_execution = entry.query->last_execution();
-    }
-    if (obs::enabled()) {
-      cq_exec_histogram().record(out.elapsed_ns / 1000);
-      obs::event(obs::Severity::kInfo, "cq_delivered", entry.query->name(),
-                 std::to_string(rows_delivered(out.note)) + " row(s)",
-                 entry.query->last_execution().ticks());
-    }
-    db_.zones().advance(entry.zone_id, entry.query->last_execution());
-    record_lineage(out.note);
-    if (entry.sink) {
-      obs::Span notify_span("cq.notify");
-      entry.sink->on_result(out.note);
-    }
-    if (out.stop_post) {
-      entry.query->mark_finished();
-      finish(out.handle);
-    }
-  }
-  return executed;
 }
 
 void CqManager::set_eager(bool eager) {
@@ -527,76 +408,19 @@ void CqManager::set_eager(bool eager) {
 void CqManager::on_commit(const std::vector<std::string>& tables, common::Timestamp) {
   if (t_dispatching == this) return;  // a CQ execution never re-triggers itself
   DispatchGuard guard(this);
-
-  const std::vector<CqHandle> relevant = relevant_handles(&tables);
-  if (relevant.empty()) return;
-
-  if (threads_ > 1) {
-    dispatch_parallel(relevant);
-    return;
-  }
-
-  for (const CqHandle h : relevant) {
-    Entry* entry = find_entry(h);
-    if (entry == nullptr) continue;
-    {
-      common::LockGuard lock(stats_mu_);
-      metrics_.add(common::metric::kTriggerChecks, 1);
-    }
-    if (entry->query->should_stop(db_)) {
-      entry->query->mark_finished();
-      finish(h);
-      continue;
-    }
-    const bool fire = entry->query->should_fire(db_);
-    record_check(*entry, fire);
-    if (fire) run(h, *entry);
-  }
+  dispatch(relevant_handles(&tables));
 }
 
 Notification CqManager::execute_now(CqHandle handle) {
-  Entry* found = find_entry(handle);
-  if (found == nullptr) {
+  Entry* entry = find_entry(handle);
+  if (entry == nullptr) {
     throw common::NotFound("CqManager: unknown handle " + std::to_string(handle));
   }
-  Entry& entry = *found;
-  obs::Span span("cq.run");
-  DraStats stats;
-  common::Metrics local;
-  const std::uint64_t t0 = obs::now_ns();
-  const Notification note = entry.query->execute(db_, &local, &stats);
-  const std::uint64_t elapsed = obs::now_ns() - t0;
-
-  {
-    common::LockGuard lock(stats_mu_);
-    last_stats_ = stats;
-    metrics_.merge(local);
-    CqStats& s = stats_of(entry);
-    ++s.executions;
-    s.last_exec_ns = elapsed;
-    s.total_exec_ns += elapsed;
-    s.delta_rows_consumed += stats.delta_rows_read;
-    s.rows_delivered += rows_delivered(note);
-    s.last_execution = entry.query->last_execution();
-  }
-  if (obs::enabled()) {
-    cq_exec_histogram().record(elapsed / 1000);
-    obs::event(obs::Severity::kInfo, "cq_delivered", entry.query->name(),
-               std::to_string(rows_delivered(note)) + " row(s)",
-               entry.query->last_execution().ticks());
-  }
-
-  db_.zones().advance(entry.zone_id, entry.query->last_execution());
-  record_lineage(note);
-  if (entry.sink) {
-    obs::Span notify_span("cq.notify");
-    entry.sink->on_result(note);
-  }
-  if (entry.query->should_stop(db_)) {
-    entry.query->mark_finished();
-    finish(handle);
-  }
-  return note;
+  Outcome o{.handle = handle, .entry = entry, .forced = true, .fired = true};
+  evaluate(o);
+  deliver(o);
+  if (o.error) std::rethrow_exception(o.error);
+  return std::move(o.note);
 }
 
 void CqManager::set_lineage(bool enabled, std::size_t retention) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,7 +21,6 @@
 #include "common/thread_pool.hpp"
 #include "cq/continual_query.hpp"
 #include "cq/lineage.hpp"
-#include "delta/delta_snapshot.hpp"
 
 namespace cq::core {
 
@@ -84,14 +84,15 @@ class CqManager {
   Notification execute_now(CqHandle handle);
 
   /// Number of evaluation lanes used per dispatch (poll / eager commit).
-  /// 1 (the default) keeps the historical sequential code path and is
-  /// bit-identical to it; n > 1 evaluates trigger-eligible CQs on a
-  /// thread pool of n lanes (n − 1 pool workers plus the dispatching
-  /// thread) against shared pinned delta snapshots, then merges every
-  /// side effect — notifications, stats, metrics, zone advances — in
-  /// handle order, so the observable stream is identical for any n as
-  /// long as sinks do not mutate the database (the determinism contract;
-  /// see docs/performance.md). 0 is treated as 1.
+  /// Lanes only change where a CQ's evaluation (stop test, trigger test,
+  /// execution) runs: at 1 (the default) each CQ is evaluated and then
+  /// delivered inline, in handle order; at n > 1 a pool of n lanes (n − 1
+  /// workers plus the dispatching thread) evaluates contiguous handle-order
+  /// chunks against the live delta logs, and then every CQ is delivered —
+  /// notifications, stats, metrics, zone advances — in handle order. The
+  /// observable stream is identical for any n as long as sinks do not
+  /// mutate the database (the determinism contract; see
+  /// docs/performance.md). 0 is treated as 1.
   void set_parallelism(std::size_t threads);
   [[nodiscard]] std::size_t parallelism() const noexcept { return threads_; }
 
@@ -174,8 +175,34 @@ class CqManager {
     delta::CqId zone_id = 0;
   };
 
-  /// Run one CQ, notify, advance its zone; finish it when Stop holds.
-  void run(CqHandle handle, Entry& entry);
+  /// One CQ's pass through a dispatch: what evaluate() decided and
+  /// computed, consumed by deliver().
+  struct Outcome {
+    CqHandle handle = 0;
+    Entry* entry = nullptr;
+    bool forced = false;   // execute_now / install: no stop or trigger test
+    bool initial = false;  // install's E_0 (forced; no cq_delivered event)
+    bool stop = false;     // Stop held (before the trigger test when !fired)
+    bool fired = false;    // the trigger held or the run was forced
+    Notification note{};
+    DraStats stats{};
+    common::Metrics local{};  // merged into metrics_ by deliver()
+    std::uint64_t elapsed_ns = 0;
+    std::exception_ptr error{};  // from evaluate() or the sink
+  };
+
+  /// Stop test, trigger test, execution, Stop test again — pure with
+  /// respect to the manager: the only state it moves is the CQ's own.
+  /// Safe on a pool worker. Catches into `o.error`.
+  void evaluate(Outcome& o);
+  /// Every side effect of one outcome, on the dispatching thread: check
+  /// accounting, stats, metrics, events, zone advance, lineage, the sink
+  /// (its exception is caught into `o.error`) and finish on Stop.
+  void deliver(Outcome& o);
+  /// Evaluate and deliver `handles` in handle order, evaluating on the
+  /// pool when threads_ > 1; rethrows the first error once every CQ has
+  /// been delivered. Returns executions performed.
+  std::size_t dispatch(const std::vector<CqHandle>& handles);
   void finish(CqHandle handle);
   void on_commit(const std::vector<std::string>& tables, common::Timestamp ts);
   /// Closure callback registered with the database while eager: appends
@@ -191,17 +218,11 @@ class CqManager {
   /// The returned pointer is stable (map nodes don't move) and the entry
   /// is safe to use under the exclusivity contract above.
   [[nodiscard]] Entry* find_entry(CqHandle handle);
-  /// Trigger-check bookkeeping shared by poll() and on_commit().
-  void record_check(const Entry& entry, bool fired);
   /// Retain a delivered notification's lineage (no-op when lineage is
-  /// off). Called only from serialized delivery points — the sequential
-  /// run, the parallel merge loop, execute_now and install.
+  /// off). Called only from deliver(), which runs on the dispatching
+  /// thread in handle order.
   void record_lineage(const Notification& note);
   CqStats& stats_of(const Entry& entry) CQ_REQUIRES(stats_mu_);
-  /// Parallel dispatch (threads_ > 1): snapshot the touched deltas once,
-  /// partition `handles` into read-set batches, evaluate on the pool, and
-  /// merge all side effects in handle order. Returns executions performed.
-  std::size_t dispatch_parallel(const std::vector<CqHandle>& handles);
 
   // Concurrency contract (multi-writer commits): the entries_ map
   // *structure* is guarded by entries_mu_ — every iteration, find,
@@ -222,10 +243,10 @@ class CqManager {
   std::map<CqHandle, Entry> entries_;
   CqHandle next_handle_ = 1;
   bool eager_ = false;
-  std::size_t threads_ = 1;   // evaluation lanes (1 = sequential path)
+  std::size_t threads_ = 1;   // evaluation lanes (1 = evaluate inline)
   std::unique_ptr<common::ThreadPool> pool_;  // built lazily, threads_ - 1 workers
   /// run_all is not reentrant and the pool is one resource: concurrent
-  /// dispatches race for it; losers evaluate their batches inline.
+  /// dispatches race for it; losers evaluate their chunks inline.
   std::atomic<bool> pool_busy_{false};
   common::Metrics metrics_;
   bool lineage_on_ = false;

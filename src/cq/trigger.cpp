@@ -57,11 +57,7 @@ class OnChangeTrigger final : public Trigger {
  public:
   bool should_fire(const TriggerContext& context) const override {
     for (const auto& table : context.relations) {
-      const auto* snap = context.snapshot_of(table);
-      const bool changed = snap != nullptr
-                               ? snap->changed_since(context.last_execution)
-                               : context.db.delta(table).changed_since(context.last_execution);
-      if (changed) return true;
+      if (context.db.delta(table).changed_since(context.last_execution)) return true;
     }
     return false;
   }
@@ -80,13 +76,9 @@ class ChangeCountTrigger final : public Trigger {
   bool should_fire(const TriggerContext& context) const override {
     std::size_t total = 0;
     for (const auto& table : context.relations) {
-      const auto* snap = context.snapshot_of(table);
       const auto& delta = context.db.delta(table);
-      // Pin before the direct read; the snapshot path pins internally.
       const auto pin = delta.pin_reads();
-      total += snap != nullptr
-                   ? snap->net_effect(context.last_execution).size()
-                   : delta.net_effect(context.last_execution).size();
+      total += delta.net_effect(context.last_execution).size();
       if (total >= threshold_) return true;
     }
     return false;
@@ -111,18 +103,11 @@ class AggregateDriftTrigger final : public Trigger {
 
   bool should_fire(const TriggerContext& context) const override {
     // Differential form (Section 5.3): scan only ΔR with ts > t_last.
-    const auto* snap = context.snapshot_of(table_);
     const auto& delta = context.db.delta(table_);
-    // Pin before the direct reads below; the snapshot path pins internally.
     const auto pin = delta.pin_reads();
-    const bool changed = snap != nullptr ? snap->changed_since(context.last_execution)
-                                         : delta.changed_since(context.last_execution);
-    if (!changed) return false;
+    if (!delta.changed_since(context.last_execution)) return false;
     const std::size_t col = delta.base_schema().index_of(column_);
-    const std::vector<cq::delta::DeltaRow> live =
-        snap != nullptr ? std::vector<cq::delta::DeltaRow>{}
-                        : delta.net_effect(context.last_execution);
-    const auto& net = snap != nullptr ? snap->net_effect(context.last_execution) : live;
+    const std::vector<cq::delta::DeltaRow> net = delta.net_effect(context.last_execution);
     double drift = 0.0;
     for (const auto& row : net) {
       if (row.new_values && !(*row.new_values)[col].is_null()) {

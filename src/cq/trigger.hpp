@@ -18,7 +18,6 @@
 
 #include "catalog/database.hpp"
 #include "common/timestamp.hpp"
-#include "delta/delta_snapshot.hpp"
 
 namespace cq::core {
 
@@ -30,17 +29,6 @@ struct TriggerContext {
   common::Timestamp last_execution;
   common::Timestamp now;
   std::uint64_t executions = 0;  // completed executions so far
-  /// Per-dispatch pinned delta snapshots (parallel evaluation engine);
-  /// null outside a parallel dispatch. Data-dependent triggers read the
-  /// snapshot when their table is present, the live log otherwise.
-  const delta::SnapshotMap* snapshots = nullptr;
-
-  /// The snapshot covering `table`, or null to read the live delta.
-  [[nodiscard]] const delta::DeltaSnapshot* snapshot_of(const std::string& table) const {
-    if (snapshots == nullptr) return nullptr;
-    auto it = snapshots->find(table);
-    return it == snapshots->end() ? nullptr : it->second.get();
-  }
 };
 
 class Trigger {

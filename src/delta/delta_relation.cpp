@@ -87,16 +87,16 @@ bool DeltaRelation::changed_since(Timestamp since) const noexcept {
   return !rows_.empty() && rows_.back().ts > since;
 }
 
-std::vector<DeltaRow> net_effect_of(const std::vector<DeltaRow>& rows, Timestamp since) {
+std::vector<DeltaRow> DeltaRelation::net_effect(Timestamp since) const {
   std::vector<DeltaRow> out;
   std::unordered_map<TupleId, std::size_t> position;  // tid -> index in out
 
-  // rows is ts-ordered; binary search the window start.
+  // rows_ is ts-ordered; binary search the window start.
   auto first = std::lower_bound(
-      rows.begin(), rows.end(), since,
+      rows_.begin(), rows_.end(), since,
       [](const DeltaRow& r, Timestamp t) { return r.ts <= t; });
 
-  for (auto it = first; it != rows.end(); ++it) {
+  for (auto it = first; it != rows_.end(); ++it) {
     const DeltaRow& change = *it;
     auto pos = position.find(change.tid);
     if (pos == position.end()) {
@@ -136,10 +136,6 @@ std::vector<DeltaRow> net_effect_of(const std::vector<DeltaRow>& rows, Timestamp
     if (!identical) compacted.push_back(std::move(row));
   }
   return compacted;
-}
-
-std::vector<DeltaRow> DeltaRelation::net_effect(Timestamp since) const {
-  return net_effect_of(rows_, since);
 }
 
 rel::Relation DeltaRelation::insertions(Timestamp since) const {

@@ -55,13 +55,6 @@ struct DeltaRow {
   [[nodiscard]] std::size_t byte_size() const noexcept;
 };
 
-/// Net effect per tid of all changes in `rows` strictly after `since`, in
-/// first-seen order (see DeltaRelation::net_effect for the collapse rules).
-/// `rows` must be ts-ordered. Shared by DeltaRelation and DeltaSnapshot so
-/// the live log and a pinned snapshot derive byte-identical views.
-[[nodiscard]] std::vector<DeltaRow> net_effect_of(const std::vector<DeltaRow>& rows,
-                                                  common::Timestamp since);
-
 class DeltaRelation {
   /// Shared between the relation and its outstanding ReadPins: the pin
   /// count gates garbage collection. Held by shared_ptr so DeltaRelation
@@ -142,8 +135,9 @@ class DeltaRelation {
   // ---- garbage collection (Section 5.4) ----
 
   /// RAII read pin: while at least one pin is alive, truncate_before is a
-  /// no-op, so a concurrent evaluation holding a DeltaSnapshot can keep
-  /// reading rows() without racing GC reclamation. Movable, not copyable.
+  /// no-op, so a reader (a trigger test, the DRA, a pool worker evaluating
+  /// a CQ) can keep reading rows() and the derived views without racing
+  /// GC reclamation. Movable, not copyable.
   class ReadPin {
    public:
     ReadPin() noexcept = default;

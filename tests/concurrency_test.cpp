@@ -23,11 +23,11 @@
 //    while eager commits mutate it.
 //
 //  * DeltaRelation::truncate_before used to shrink the change log with no
-//    regard for concurrent readers: a parallel evaluation batch holding a
-//    DeltaSnapshot could observe rows_ mid-erase. Truncation now takes the
-//    snapshot pin mutex for the whole erase and defers (returns 0) while
-//    any ReadPin is live; GcDefersWhileSnapshotsArePinned and
-//    SnapshotReadersVsGarbageCollect pin both halves of that protocol.
+//    regard for concurrent readers: a pool worker reading the delta log
+//    could observe rows_ mid-erase. Truncation now takes the pin mutex
+//    for the whole erase and defers (returns 0) while any ReadPin is
+//    live; GcDefersWhileReadersArePinned and PinnedReadersVsGarbageCollect
+//    pin both halves of that protocol.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -51,7 +51,6 @@
 #include "cq/manager.hpp"
 #include "cq/trigger.hpp"
 #include "delta/delta_relation.hpp"
-#include "delta/delta_snapshot.hpp"
 #include "diom/introspect.hpp"
 #include "diom/mediator.hpp"
 #include "diom/source.hpp"
@@ -310,8 +309,8 @@ TEST_F(ConcurrencyStress, WritersAndStatsReaders) {
   EXPECT_EQ(s.trigger_checks, static_cast<std::uint64_t>(kWriters) * kTxnsPerWriter);
 }
 
-TEST(DeltaGcPins, GcDefersWhileSnapshotsArePinned) {
-  // Deterministic half of the pin protocol: a live DeltaSnapshot makes
+TEST(DeltaGcPins, GcDefersWhileReadersArePinned) {
+  // Deterministic half of the pin protocol: a reader's live pin makes
   // truncation a no-op (deferred reclamation), and the next GC pass after
   // the pin is released reclaims everything the first pass skipped.
   cat::Database db;
@@ -320,22 +319,23 @@ TEST(DeltaGcPins, GcDefersWhileSnapshotsArePinned) {
   const delta::DeltaRelation& d = db.delta("T");
 
   {
-    delta::DeltaSnapshot snap(d);
+    const auto pin = d.pin_reads();
     EXPECT_EQ(d.read_pins(), 1u);
     EXPECT_EQ(db.garbage_collect(), 0u);  // no zones: cutoff=now, yet pinned
     EXPECT_EQ(d.size(), 8u);
-    EXPECT_EQ(snap.net_effect(common::Timestamp::min()).size(), 8u);
-    EXPECT_EQ(snap.insertions(common::Timestamp::min()).size(), 8u);
+    EXPECT_EQ(d.net_effect(common::Timestamp::min()).size(), 8u);
+    EXPECT_EQ(d.insertions(common::Timestamp::min()).size(), 8u);
   }
   EXPECT_EQ(d.read_pins(), 0u);
   EXPECT_EQ(db.garbage_collect(), 8u);  // deferred reclamation lands now
   EXPECT_TRUE(d.empty());
 }
 
-TEST(DeltaGcPins, SnapshotReadersVsGarbageCollect) {
-  // TSan half: reader threads continuously pin snapshots and walk their
-  // views while GC threads hammer truncation. The pin mutex hand-off is
-  // the only synchronization — the sanitizer lane proves it is enough.
+TEST(DeltaGcPins, PinnedReadersVsGarbageCollect) {
+  // TSan half: reader threads continuously pin the live log and walk its
+  // derived views while GC threads hammer truncation. The pin mutex
+  // hand-off is the only synchronization — the sanitizer lane proves it
+  // is enough.
   cat::Database db;
   db.create_table("T", rel::Schema::of({{"k", ValueType::kInt}}));
   constexpr int kRows = 64;
@@ -351,12 +351,12 @@ TEST(DeltaGcPins, SnapshotReadersVsGarbageCollect) {
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&db, &d, &incoherent] {
       for (int i = 0; i < kItersPerThread; ++i) {
-        delta::DeltaSnapshot snap(d);
-        const auto& net = snap.net_effect(common::Timestamp::min());
+        const auto pin = d.pin_reads();
+        const auto net = d.net_effect(common::Timestamp::min());
         // Insert-only log: every surviving net row is an insertion, so the
-        // two views of one snapshot must agree row-for-row.
-        if (net.size() != snap.insertions(common::Timestamp::min()).size() ||
-            !snap.deletions(common::Timestamp::min()).empty()) {
+        // two views read under one pin must agree row-for-row.
+        if (net.size() != d.insertions(common::Timestamp::min()).size() ||
+            !d.deletions(common::Timestamp::min()).empty()) {
           incoherent.store(true, std::memory_order_relaxed);
         }
         if (i % 16 == 0) (void)db.garbage_collect();  // pinned by *this* thread

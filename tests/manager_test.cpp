@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -230,13 +232,40 @@ std::string note_string(const Notification& n) {
 struct ScenarioRun {
   std::vector<std::string> stream;  // serialized notifications, sink order
   std::map<std::string, CqStats> stats;
+  std::size_t sink_failures = 0;    // SinkFailure exceptions seen by the script
+};
+
+struct SinkFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Forwards to `inner`, except that it throws SinkFailure — once — in
+/// place of CQ `victim`'s first notification after E_0.
+class ThrowOnceSink final : public ResultSink {
+ public:
+  ThrowOnceSink(std::shared_ptr<ResultSink> inner, std::string victim)
+      : inner_(std::move(inner)), victim_(std::move(victim)) {}
+
+  void on_result(const Notification& n) override {
+    if (!thrown_ && n.cq_name == victim_ && n.sequence == 1) {
+      thrown_ = true;
+      throw SinkFailure("sink failure for " + victim_);
+    }
+    inner_->on_result(n);
+  }
+
+ private:
+  std::shared_ptr<ResultSink> inner_;
+  std::string victim_;
+  bool thrown_ = false;
 };
 
 /// A mixed workload — several delivery modes and strategies, two base
 /// tables, a join, an aggregate — driven by a fixed commit script. The
 /// determinism contract says the observable output is a pure function of
-/// the script, independent of `threads`.
-ScenarioRun run_scenario(std::size_t threads, bool eager) {
+/// the script, independent of `threads`. With `failing_sink`, CQ "hi"
+/// (one of three over Stocks) gets a ThrowOnceSink.
+ScenarioRun run_scenario(std::size_t threads, bool eager, bool failing_sink = false) {
   cat::Database db;
   db.create_table("Stocks", rel::Schema::of({{"name", ValueType::kString},
                                              {"price", ValueType::kInt}}));
@@ -249,12 +278,15 @@ ScenarioRun run_scenario(std::size_t threads, bool eager) {
   CqManager manager(db);
   manager.set_parallelism(threads);
   auto sink = std::make_shared<CollectingSink>();
+  ScenarioRun run;
 
   auto install = [&](const std::string& name, const std::string& sql,
                      DeliveryMode mode, ExecutionStrategy strategy) {
     CqSpec spec = CqSpec::from_sql(name, sql, triggers::on_change(), nullptr, mode);
     spec.strategy = strategy;
-    manager.install(std::move(spec), sink);
+    std::shared_ptr<ResultSink> target = sink;
+    if (failing_sink && name == "hi") target = std::make_shared<ThrowOnceSink>(sink, name);
+    manager.install(std::move(spec), target);
   };
   install("hi", "SELECT * FROM Stocks WHERE price > 120",
           DeliveryMode::kDifferential, ExecutionStrategy::kDra);
@@ -271,31 +303,33 @@ ScenarioRun run_scenario(std::size_t threads, bool eager) {
 
   if (eager) manager.set_eager(true);
 
-  const auto step = [&] {
-    if (!eager) (void)manager.poll();
+  // One commit and, when polled, one poll. A sink failure surfaces from
+  // the poll, or from the commit itself under eager dispatch.
+  const auto step = [&](const auto& commit) {
+    try {
+      commit();
+      if (!eager) (void)manager.poll();
+    } catch (const SinkFailure&) {
+      ++run.sink_failures;
+    }
   };
-  db.insert("Stocks", {Value("MAC"), Value(130)});
-  step();
-  {
+  step([&] { db.insert("Stocks", {Value("MAC"), Value(130)}); });
+  step([&] {
     auto txn = db.begin();
     txn.insert("Trades", {Value("MAC"), Value(40)});
     txn.insert("Trades", {Value("IBM"), Value(2)});
     txn.commit();
-  }
-  step();
-  {
-    // Cross-table transaction: both batches must see one coherent snapshot.
+  });
+  step([&] {
+    // Cross-table transaction: both chunks must see one coherent state.
     auto txn = db.begin();
     txn.insert("Stocks", {Value("QLI"), Value(145)});
     txn.insert("Trades", {Value("QLI"), Value(60)});
     txn.commit();
-  }
-  step();
-  db.erase("Stocks", db.table("Stocks").rows().front().tid());
-  step();
+  });
+  step([&] { db.erase("Stocks", db.table("Stocks").rows().front().tid()); });
   if (!eager) (void)manager.poll();  // drain any leftovers
 
-  ScenarioRun run;
   for (const auto& n : sink->notifications()) run.stream.push_back(note_string(n));
   run.stats = manager.cq_stats();
   return run;
@@ -336,6 +370,32 @@ TEST(CqManagerParallel, EagerDispatchMatchesSequential) {
 
 TEST(CqManagerParallel, MoreLanesThanCqsMatchesSequential) {
   expect_identical(run_scenario(1, true), run_scenario(16, true));
+}
+
+/// A throwing sink costs no other CQ its delta. "hi"'s sink throws once,
+/// on hi#1; every other CQ is still delivered in that dispatch, so at 1,
+/// 2 and 4 lanes the stream is the clean run's minus hi#1 and the stats
+/// are the clean run's (hi#1 was executed and counted, only not received).
+void expect_sink_failure_isolated(bool eager) {
+  ScenarioRun expected = run_scenario(1, eager);
+  const auto hi1 = std::find_if(expected.stream.begin(), expected.stream.end(),
+                                [](const std::string& n) { return n.rfind("hi#1@", 0) == 0; });
+  ASSERT_NE(hi1, expected.stream.end());
+  expected.stream.erase(hi1);
+  for (const std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const ScenarioRun failed = run_scenario(threads, eager, /*failing_sink=*/true);
+    EXPECT_EQ(failed.sink_failures, 1u);
+    expect_identical(expected, failed);
+  }
+}
+
+TEST(CqManagerParallel, PolledSinkFailureLosesNoOtherDelta) {
+  expect_sink_failure_isolated(/*eager=*/false);
+}
+
+TEST(CqManagerParallel, EagerSinkFailureLosesNoOtherDelta) {
+  expect_sink_failure_isolated(/*eager=*/true);
 }
 
 TEST(CqManagerParallel, SetParallelismClampsAndReports) {
