@@ -15,9 +15,11 @@
 // independent CQs, never change what any single CQ observes.
 //
 // CI runs this binary under scripts/check_bench.py --strict (bench-check
-// job) against bench/baselines/commit_pipeline.json. See
-// docs/performance.md §5 for the measured speedups and the multi-core
-// status of the >= 2x commit-to-notify claim.
+// job) against bench/baselines/commit_pipeline.json. The CPU-time ratios
+// google-benchmark reports by default are the dispatching thread's CPU,
+// not throughput; docs/performance.md §5 quotes the wall-clock figures,
+// and cqbench's writers-disjoint workload (catalog.scaling_4w_over_1w)
+// is the wall-clock measure of multi-writer scaling.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -12,6 +12,9 @@ Medians below --min-us (default 100 microseconds) are skipped: at that
 scale scheduler noise dwarfs real regressions. Counters are compared
 exactly informationally (work counts should be deterministic) but never
 fail the check — they drift legitimately when workloads are retuned.
+Each bench reports how many of its baseline histograms it compared and
+how many sat under --min-us; a bench with no histogram above the floor
+gets a warning naming it, because its gate compares nothing.
 
 Usage:
   scripts/check_bench.py [--baseline-dir bench/baselines] [--current-dir .]
@@ -33,8 +36,10 @@ def load(path):
 
 
 def compare_one(name, baseline, current, threshold, min_us):
-    """Returns a list of (histogram, baseline_p50, current_p50, ratio)."""
+    """Returns (regressions, compared, under_floor); regressions is a list
+    of (histogram, baseline_p50, current_p50, ratio)."""
     regressions = []
+    compared = under_floor = 0
     base_hists = baseline.get("histograms", {})
     cur_hists = current.get("histograms", {})
     # A baseline may pin per-histogram thresholds in a top-level
@@ -50,7 +55,9 @@ def compare_one(name, baseline, current, threshold, min_us):
         base_p50 = float(base.get("p50", 0.0))
         cur_p50 = float(cur.get("p50", 0.0))
         if base_p50 < min_us:
+            under_floor += 1
             continue  # too small to measure reliably
+        compared += 1
         hist_threshold = float(overrides.get(hist, threshold))
         ratio = cur_p50 / base_p50 if base_p50 > 0 else float("inf")
         marker = ""
@@ -61,7 +68,7 @@ def compare_one(name, baseline, current, threshold, min_us):
             f"  {name}/{hist}: p50 {base_p50:.1f} -> {cur_p50:.1f} us "
             f"({ratio:.0%} of baseline, threshold {hist_threshold:.0%}){marker}"
         )
-    return regressions
+    return regressions, compared, under_floor
 
 
 def main():
@@ -103,9 +110,17 @@ def main():
             print(f"  unreadable stats document: {e}", file=sys.stderr)
             return 2
         checked += 1
-        for hist, base_p50, cur_p50, ratio in compare_one(
+        regressions, compared, under_floor = compare_one(
             name, baseline, current, args.threshold, args.min_us
-        ):
+        )
+        total = len(baseline.get("histograms", {}))
+        print(f"  {name}: compared {compared} of {total} histograms "
+              f"({under_floor} under --min-us)")
+        if compared == 0:
+            print(f"  WARNING: {name}: no histogram compared (each under "
+                  f"--min-us {args.min_us:g} us or missing from the run); this bench's "
+                  "gate compares nothing")
+        for hist, base_p50, cur_p50, ratio in regressions:
             all_regressions.append((name, hist, base_p50, cur_p50, ratio))
 
     print()

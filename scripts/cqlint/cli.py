@@ -3,11 +3,8 @@
   cqlint.py [paths...]        analyze (default: every .hpp/.cpp under src/)
   cqlint.py --self-test       prove every rule against its negative fixture
   cqlint.py --list-rules      print the rule catalog
-  cqlint.py --backend=clang   force the libclang backend (error if absent)
-  cqlint.py --require-clang   CI mode: missing libclang fails instead of
-                              falling back to the textual backend
 
-Exit status: 0 clean, 1 findings/baseline problems, 2 usage/backend error.
+Exit status: 0 clean, 1 findings/baseline problems, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,10 +16,10 @@ from pathlib import Path
 import rules as rules_mod
 from baseline import Baseline
 from model import Facts, Finding
+from textual import TextualBackend
 
 REPO = Path(__file__).resolve().parent.parent.parent
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
-DEFAULT_COMPDB = REPO / "build"
 
 
 def gather_paths(args_paths: list[str]) -> list[Path]:
@@ -40,47 +37,17 @@ def gather_paths(args_paths: list[str]) -> list[Path]:
     return [f for f in sorted(src.rglob("*")) if f.suffix in (".hpp", ".cpp", ".h")]
 
 
-def make_backend(which: str, paths: list[Path], compdb: Path | None,
-                 require_clang: bool):
-    """(backend, note) — the clang backend when available, else textual."""
-    if which in ("auto", "clang"):
-        try:
-            from clang_backend import BackendUnavailable, ClangBackend
-            try:
-                return ClangBackend(REPO, paths, compdb), ""
-            except BackendUnavailable as exc:
-                if which == "clang" or require_clang:
-                    sys.exit(f"cqlint: libclang backend required but unavailable: {exc}")
-                note = f"cqlint: libclang unavailable ({exc}); textual fallback"
-        except ImportError as exc:  # clang_backend itself failed to import
-            if which == "clang" or require_clang:
-                sys.exit(f"cqlint: libclang backend required but unavailable: {exc}")
-            note = f"cqlint: libclang unavailable ({exc}); textual fallback"
-    else:
-        note = ""
-    from textual import TextualBackend
-    return TextualBackend(REPO, paths), note
-
-
-def analyze(paths: list[Path], backend_name: str, compdb: Path | None,
-            require_clang: bool, only: set[str] | None = None
-            ) -> tuple[list[Finding], str, str]:
-    backend, note = make_backend(backend_name, paths, compdb, require_clang)
-    facts: Facts = backend.extract()
-    return rules_mod.run_rules(facts, only), backend.name, note
+def analyze(paths: list[Path], only: set[str] | None = None) -> list[Finding]:
+    facts: Facts = TextualBackend(REPO, paths).extract()
+    return rules_mod.run_rules(facts, only)
 
 
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(prog="cqlint", description=__doc__)
     ap.add_argument("paths", nargs="*")
-    ap.add_argument("--backend", choices=("auto", "clang", "textual"),
-                    default="auto")
-    ap.add_argument("--compdb", default=str(DEFAULT_COMPDB),
-                    help="directory containing compile_commands.json")
     ap.add_argument("--baseline", default=str(DEFAULT_BASELINE))
     ap.add_argument("--no-baseline", action="store_true",
                     help="report raw findings, ignoring suppressions")
-    ap.add_argument("--require-clang", action="store_true")
     ap.add_argument("--rule", action="append", default=None,
                     help="run only this rule (repeatable)")
     ap.add_argument("--self-test", action="store_true")
@@ -92,7 +59,7 @@ def main(argv: list[str]) -> int:
         return 0
     if args.self_test:
         from selftest import self_test
-        return self_test(args.backend, args.require_clang)
+        return self_test()
     if args.rule:
         unknown = set(args.rule) - set(rules_mod.RULE_IDS)
         if unknown:
@@ -101,12 +68,7 @@ def main(argv: list[str]) -> int:
     paths = gather_paths(args.paths)
     if not paths:
         sys.exit("cqlint: nothing to analyze")
-    compdb = Path(args.compdb) if (Path(args.compdb) / "compile_commands.json").is_file() else None
-    findings, backend_name, note = analyze(
-        paths, args.backend, compdb, args.require_clang,
-        set(args.rule) if args.rule else None)
-    if note:
-        print(note, file=sys.stderr)
+    findings = analyze(paths, set(args.rule) if args.rule else None)
 
     problems: list[str] = []
     if args.no_baseline:
@@ -123,11 +85,11 @@ def main(argv: list[str]) -> int:
         print(p, file=sys.stderr)
     n_sup = len(findings) - len(kept)
     if kept or problems:
-        print(f"cqlint[{backend_name}]: {len(kept)} finding(s), "
+        print(f"cqlint: {len(kept)} finding(s), "
               f"{len(problems)} baseline problem(s), {n_sup} suppressed, "
               f"{len(paths)} file(s)", file=sys.stderr)
         return 1
-    print(f"cqlint[{backend_name}]: clean — {len(paths)} file(s), "
+    print(f"cqlint: clean — {len(paths)} file(s), "
           f"{len(rules_mod.RULE_IDS)} rule(s), {n_sup} suppressed with "
           "justification")
     return 0

@@ -1,6 +1,6 @@
-"""Minimal C++ lexical utilities for the textual backend.
+"""Minimal C++ lexical utilities for cqlint's fact extractor.
 
-The textual backend never builds a real AST; it works on a *blanked*
+The extractor never builds a real AST; it works on a *blanked*
 copy of each file — comments and string/char literal contents replaced
 with spaces, byte-for-byte the same length — so regex hits carry true
 offsets and brace matching is exact even when literals contain braces.
@@ -169,6 +169,10 @@ def parse_sig(sig: str) -> tuple[str, str, str]:
     qual = m.group(1).rstrip(":")
     name = m.group(2)
     ret = sig[: m.start()].strip()
+    # A trailing return type (`auto f() const -> T&`) is the real one.
+    trailing = re.search(r"\)[^()]*->\s*([^()]+?)\s*(?:override|final)?\s*$", sig)
+    if trailing:
+        ret = trailing.group(1)
     # Drop storage/attribute noise from the return type text.
     ret = re.sub(r"\[\[[^\]]*\]\]|\b(static|inline|constexpr|virtual|explicit)\b", "", ret).strip()
     return ret, qual.split("::")[-1] if qual else "", name

@@ -1,9 +1,8 @@
-"""Backend-neutral fact model.
+"""Fact model.
 
-Each backend (clang_backend.py, textual.py) reduces the tree to these
-syntax facts; rules.py holds the policy that turns facts into findings.
-Keeping the policy out of the backends is what lets one negative fixture
-prove a rule under either backend.
+textual.py reduces the tree to these syntax facts; rules.py holds the
+policy that turns facts into findings, so a negative fixture proves the
+policy and the extraction together.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class WorkerLambda:
     line: int
     captures: tuple[str, ...]   # raw capture items: "this", "&outcomes", "=", "x = std::move(y)"
     #: declared type text for by-reference captures, resolved from the
-    #: enclosing function where the backend can ("" when unknown)
+    #: enclosing function where possible ("" when unknown)
     capture_types: dict[str, str]
     enclosing: str              # enclosing function, for the finding symbol
 
@@ -85,7 +84,7 @@ class SwitchStmt:
 
     file: str
     line: int
-    enum_name: str              # label qualifier tail ("Kind")
+    enum_name: str              # label qualifier tail ("Kind"); "" if unqualified
     labels: tuple[str, ...]     # variant names covered ("kCompare", ...)
     has_default: bool
     #: a default is "loud" when its body visibly refuses the value
@@ -101,10 +100,10 @@ class DeltaAccess:
     file: str
     line: int
     receiver: str               # source text of the receiver expression
-    #: "snapshot" (DeltaSnapshot — internally pinned), "relation"
-    #: (DeltaRelation — needs a live ReadPin), or "unknown"
+    #: "relation" (a DeltaRelation) or "unknown" (treated as one)
     receiver_kind: str
-    pin_in_scope: bool          # a ReadPin is live in the enclosing function
+    #: a ReadPin is live in the enclosing function, or its class holds one
+    pin_in_scope: bool
     enclosing: str
 
 
@@ -119,15 +118,6 @@ class Facts:
     worker_lambdas: list[WorkerLambda] = field(default_factory=list)
     switches: list[SwitchStmt] = field(default_factory=list)
     delta_accesses: list[DeltaAccess] = field(default_factory=list)
-
-    def merge(self, other: "Facts") -> None:
-        self.enums.extend(other.enums)
-        self.guarded_fields.extend(other.guarded_fields)
-        self.ref_returns.extend(other.ref_returns)
-        self.lock_scopes.extend(other.lock_scopes)
-        self.worker_lambdas.extend(other.worker_lambdas)
-        self.switches.extend(other.switches)
-        self.delta_accesses.extend(other.delta_accesses)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,21 @@
-"""The five cqlint rules — policy over the backend-neutral fact model.
+"""The five cqlint rules — policy over the fact model (model.py).
 
   guarded-ref-escape   methods returning references/pointers to fields
                        guarded by a cq::common::Mutex: the reference
                        outlives the lock the moment the accessor returns
                        (the scrape-vs-engine race class).
   pin-before-snapshot  DeltaRelation::net_effect / insertions / deletions
-                       reads must happen under a live ReadPin (or through
-                       a DeltaSnapshot, which pins internally) — the
-                       static leg of GC's never-truncate-under-a-reader
-                       contract.
+                       reads must happen under a live ReadPin (or inside a
+                       class that holds one) — the static leg of GC's
+                       never-truncate-under-a-reader contract.
   blocking-under-lock  no sleeps, file/socket I/O, ThreadPool::run_all or
                        foreign-condvar waits while a named Mutex is held
                        — the static complement of the runtime lockdep.
   worker-purity        lambdas submitted to ThreadPool::run_all capture
-                       engine state only by value or through sanctioned
-                       snapshot/context types, preserving the
-                       serially-replayed-side-effects discipline.
+                       engine state only by value, preserving the
+                       serially-replayed-side-effects discipline; every
+                       by-reference capture needs a baseline entry
+                       saying why it cannot race.
   exhaustive-switch    switches over project enums enumerate every
                        variant; a silent `default:` swallows the variants
                        nobody listed (loud defaults — throw/fail/abort —
@@ -59,10 +59,6 @@ BLOCKING_CALLS = {
     "select": "does socket I/O",
     "system": "spawns a process",
 }
-
-#: Types a run_all worker may capture by reference: read-only snapshot /
-#: context state whose sharing discipline the engine already guarantees.
-SANCTIONED_REF_TYPES = ("SnapshotMap", "DeltaSnapshot", "Context")
 
 #: Mutex member names the capability system itself returns by reference
 #: (CQ_RETURN_CAPABILITY accessors and friends) — not data escapes.
@@ -108,8 +104,6 @@ def guarded_ref_escape(facts: Facts) -> list[Finding]:
 def pin_before_snapshot(facts: Facts) -> list[Finding]:
     out = []
     for a in facts.delta_accesses:
-        if a.receiver_kind == "snapshot":
-            continue  # DeltaSnapshot holds its own ReadPin
         if a.pin_in_scope:
             continue
         kind = ("DeltaRelation" if a.receiver_kind == "relation"
@@ -118,8 +112,7 @@ def pin_before_snapshot(facts: Facts) -> list[Finding]:
             "pin-before-snapshot", a.file, a.line, a.enclosing,
             f"`{a.receiver}` ({kind}) is read without a live ReadPin in "
             "scope — GC may truncate the rows mid-read; take "
-            "`auto pin = rel.pin_reads();` first or go through a "
-            "DeltaSnapshot"))
+            "`auto pin = rel.pin_reads();` first"))
     return out
 
 
@@ -165,14 +158,11 @@ def worker_purity(facts: Facts) -> list[Finding]:
                     "through snapshots and replay side effects serially"))
             elif cap.startswith("&"):
                 ty = w.capture_types.get(cap, "")
-                if any(t in ty for t in SANCTIONED_REF_TYPES):
-                    continue
                 out.append(Finding(
                     "worker-purity", w.file, w.line, w.enclosing,
                     f"run_all worker captures `{cap}` by reference "
-                    f"(type `{ty or 'unresolved'}`) — only const/value "
-                    "captures or sanctioned snapshot/context types "
-                    f"({', '.join(SANCTIONED_REF_TYPES)}) are pure"))
+                    f"(type `{ty or 'unresolved'}`) — only value captures "
+                    "are pure"))
     return out
 
 
@@ -184,14 +174,13 @@ def exhaustive_switch(facts: Facts) -> list[Finding]:
         by_name.setdefault(e.name, []).append(e)
     out = []
     for s in facts.switches:
-        candidates = by_name.get(s.enum_name, [])
-        enum = None
-        for e in candidates:
-            if set(s.labels) <= set(e.variants):
-                enum = e
-                break
-        if enum is None:
+        # Unqualified labels (an unscoped enum, or a switch inside the
+        # enum's own scope) resolve only when one enum has them all.
+        candidates = by_name.get(s.enum_name, []) if s.enum_name else facts.enums
+        matches = [e for e in candidates if set(s.labels) <= set(e.variants)]
+        if not matches or (not s.enum_name and len(matches) > 1):
             continue  # not a project enum (or labels we cannot resolve)
+        enum = matches[0]
         missing = [v for v in enum.variants if v not in s.labels]
         if s.has_default and not s.default_loud:
             what = (f"future variants of {enum.qualified}" if not missing

@@ -2,11 +2,11 @@
 
 Each fixture under tests/negative/cqlint/ marks its violating lines with
 a `// cqlint-expect: <rule>` comment. The self-test runs the analyzer
-(whichever backend is active) over each fixture and asserts
+over each fixture and asserts
 
   1. every marked line produced a finding of the marked rule (within a
-     small line tolerance — backends anchor findings slightly
-     differently), and
+     small line tolerance — findings anchor on a declaration, a block
+     opening or a label), and
   2. the rule produced no findings *away* from the marks — the fixtures
      contain deliberate near-misses (loud defaults, pinned reads, pure
      captures) that a sloppy rule would flag.
@@ -27,7 +27,7 @@ from model import Finding
 
 FIXTURE_DIR = REPO / "tests" / "negative" / "cqlint"
 EXPECT_RE = re.compile(r"//\s*cqlint-expect:\s*([\w-]+)")
-TOLERANCE = 3  # lines; backends anchor on decl vs block-open vs label
+TOLERANCE = 3  # lines; findings anchor on decl vs block-open vs label
 
 
 def fixture_expectations(path: Path) -> list[tuple[int, str]]:
@@ -62,21 +62,20 @@ def check_fixture(path: Path, findings: list[Finding]) -> list[str]:
     return errors
 
 
-def self_test(backend: str, require_clang: bool) -> int:
+def self_test() -> int:
     failures: list[str] = []
     fixtures = sorted(FIXTURE_DIR.glob("*.cpp"))
     if len(fixtures) < 5:
         print(f"self-test: only {len(fixtures)} fixture(s) under "
               f"{FIXTURE_DIR} — need one per rule", file=sys.stderr)
         return 1
-    backend_used = ""
     for fx in fixtures:
-        findings, backend_used, _ = analyze([fx], backend, None, require_clang)
+        findings = analyze([fx])
         errs = check_fixture(fx, findings)
         failures += errs
         status = "ok" if not errs else "FAIL"
         fired = sorted({f.rule for f in findings})
-        print(f"self-test[{backend_used}]: {fx.name}: {status} "
+        print(f"self-test: {fx.name}: {status} "
               f"(fired: {', '.join(fired) or 'none'})")
 
     # Baseline honesty checks need no fixtures.
@@ -97,6 +96,6 @@ def self_test(backend: str, require_clang: bool) -> int:
 
     for f in failures:
         print(f"self-test: {f}", file=sys.stderr)
-    print(f"self-test[{backend_used}]: "
+    print("self-test: "
           f"{'PASS' if not failures else f'{len(failures)} failure(s)'}")
     return 1 if failures else 0

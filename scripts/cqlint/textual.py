@@ -1,10 +1,10 @@
-"""Dependency-free fallback backend.
+"""cqlint's fact extractor.
 
 Extracts the model.Facts from blanked source text (lex.Source) with
-regexes plus exact brace matching. Coarser than the libclang backend —
-receiver types are resolved from visible declarations instead of the
-real type system — but it runs anywhere Python runs, so local GCC-only
-machines still get the full rule set.
+regexes plus exact brace matching. Receiver types are resolved from
+visible declarations rather than a real type system (the gaps this
+leaves are listed in docs/static-analysis.md), but it needs nothing
+beyond Python.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from lex import Source, parse_sig, split_commas
 from model import (CallSite, DeltaAccess, EnumInfo, Facts, GuardedField,
                    LockScope, RefReturn, SwitchStmt, WorkerLambda)
 
-ENUM_RE = re.compile(r"\benum\s+class\s+(\w+)\s*(?::[^{;]+)?\{")
+ENUM_RE = re.compile(r"\benum\s+(?:class\s+)?(\w+)\s*(?::[^{;]+)?\{")
 VARIANT_RE = re.compile(r"\b(k[A-Z]\w*)\b")
 GUARDED_RE = re.compile(r"\b([A-Za-z_]\w*)\s+CQ_(?:PT_)?GUARDED_BY\(\s*(\w+)\s*\)")
 RETURN_RE = re.compile(r"\breturn\b([^;]*);")
@@ -77,8 +77,6 @@ def _receiver_before(text: str, dot_idx: int) -> str:
 
 
 class TextualBackend:
-    name = "textual"
-
     def __init__(self, repo: Path, paths: list[Path]):
         self.repo = repo
         self.paths = paths
@@ -195,8 +193,15 @@ class TextualBackend:
                                   r"(?:emplace_back|push_back)\s*\(")
                 for pm in push.finditer(src.text, fn_open, fn_close):
                     p_open = src.text.find("(", pm.end() - 1)
-                    spans.append((p_open, _match_paren(src.text, p_open)))
-            fn_body_before = src.text[fn_open:]
+                    p_close = _match_paren(src.text, p_open)
+                    spans.append((p_open, p_close))
+                    # A lambda bound to a local first, then pushed by name.
+                    named = re.fullmatch(r"\s*(?:std::move\(\s*)?([A-Za-z_]\w*)\s*\)?\s*",
+                                         src.text[p_open + 1 : p_close])
+                    if named:
+                        bind = re.compile(rf"\b{re.escape(named.group(1))}\s*=\s*(?=\[)")
+                        for bm in bind.finditer(src.text, fn_open, pm.start()):
+                            spans.append((bm.end(), src.text.find("{", bm.end())))
             for s_open, s_close in spans:
                 span_text = src.text[s_open : s_close + 1]
                 for lm in LAMBDA_RE.finditer(span_text):
@@ -257,10 +262,12 @@ class TextualBackend:
                         i = dm.end()
                         continue
                 i += 1
-            enum_names = [q for q, _ in labels if q]
-            if not enum_names:
+            if not labels:
                 continue  # switch over char/int/etc — out of scope
-            enum_name = max(set(enum_names), key=enum_names.count)
+            # "" when every label is unqualified: the rule then resolves
+            # the enum from the variant names alone.
+            enum_names = [q for q, _ in labels if q]
+            enum_name = max(set(enum_names), key=enum_names.count) if enum_names else ""
             loud = False
             if has_default:
                 # Default body: up to the next depth-0 case label or the
@@ -290,9 +297,8 @@ class TextualBackend:
             pre = src.text[fn_open : m.start()] + " " + fn_sig
             pin = bool(re.search(r"\bpin_reads\s*\(|\bReadPin\b", pre))
             if not pin:
-                # A class holding a ReadPin member (the DeltaSnapshot
-                # pattern) pins every member-function read for the
-                # object's whole lifetime.
+                # A class holding a ReadPin member pins every
+                # member-function read for the object's whole lifetime.
                 _, c_open, c_close = src.enclosing_class_span(m.start())
                 if c_open >= 0 and re.search(
                         r"\bReadPin\s+\w+", src.text[c_open:c_close]):
@@ -310,11 +316,7 @@ class TextualBackend:
         if base is None:
             return "unknown"
         name = base.group(0)
-        if re.search(r"\bsnap(shot)?s?\b", name, re.IGNORECASE):
-            return "snapshot"
         decl_type = self._decl_type(src, name, idx) + " " + fn_sig
-        if "DeltaSnapshot" in decl_type or "SnapshotMap" in decl_type:
-            return "snapshot"
         if "DeltaRelation" in decl_type:
             return "relation"
         return "unknown"

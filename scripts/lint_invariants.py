@@ -50,13 +50,25 @@ Rules (scoped to src/ and examples/ unless noted):
                   (tracing must never take the engine down) all say so.
 
   unnamed-mutex   Every cq::common::Mutex declared in library or example
-                  code carries a site name (and, for engine-lifetime locks,
-                  a LockRank): `Mutex mu_{"site", LockRank::kX};`. An
-                  unnamed mutex is invisible to lock-contention profiling
-                  (/profile), the lock-order checker and the /lockgraph
-                  export — docs/lock-hierarchy.md is the rank manifest,
-                  scripts/check_lock_order.py the deeper cross-check.
-                  (tests/ may declare anonymous scaffolding mutexes.)
+                  code carries a site name and a LockRank:
+                  `Mutex mu_{"site", LockRank::kX};`. An unnamed mutex is
+                  invisible to lock-contention profiling (/profile), the
+                  lock-order checker and the /lockgraph export; a named
+                  one without a rank escapes the runtime rank check. The
+                  LockRank enum (src/common/lock_order.hpp) documents
+                  every rank. (tests/ may declare anonymous scaffolding
+                  mutexes.)
+
+  site-rank       One site name, one rank: every declaration of a site
+                  literal in library and example code names the same
+                  LockRank (sites are lockdep-style lock classes, and the
+                  site table keeps the first rank it sees).
+
+  acquired-before-rank
+                  `Mutex a CQ_ACQUIRED_BEFORE(b){...}` must agree with the
+                  ranks: a ranks strictly below b, or the compile-time
+                  declared order and the runtime checker disagree about
+                  the same pair.
 
 Usage:
   scripts/lint_invariants.py             lint the tree; exit 0 clean, 1 dirty
@@ -80,8 +92,17 @@ RAW_THREAD_RE = re.compile(r"std::(thread|jthread)\b")
 # A Mutex declaration with no initializer (`;`) or an empty one (`{}`):
 # references, parameters and the class definition itself don't match.
 UNNAMED_MUTEX_RE = re.compile(
-    r"\b(?:cq::)?(?:common::)?Mutex\s+\w+\s*(?:;|\{\s*\})"
+    r"\b(?:cq::)?(?:common::)?Mutex\s+\w+\s*(?:CQ_\w+\([^)]*\)\s*)?(?:;|\{\s*\})"
 )
+# A named Mutex declaration, possibly spanning lines, with an optional
+# declared order and an optional rank (and cohort key) after the site:
+#   Mutex a_ CQ_ACQUIRED_BEFORE(b_){"site", lockorder::LockRank::kX};
+NAMED_MUTEX_RE = re.compile(
+    r"\bMutex\s+(\w+)\s*(?:CQ_ACQUIRED_BEFORE\(\s*(\w+)\s*\)\s*)?"
+    r"\{\s*\"([^\"]+)\"\s*(?:,\s*(?:\w+::)*LockRank::k(\w+)\b[^{};]*)?\}"
+)
+LOCK_RANK_ENUM = "src/common/lock_order.hpp"
+LOCK_RANK_RE = re.compile(r"\bk(\w+)\s*=\s*(\d+)\s*,")
 STRING_COUNTER_RE = re.compile(r"\.add\(\s*\"")
 IOSTREAM_RE = re.compile(r"#include\s*<iostream>|std::(cout|cerr|clog)\b")
 COMMENT_RE = re.compile(r"^\s*(//|\*|/\*)")
@@ -119,6 +140,50 @@ def find_swallowed_catches(text: str) -> list[int]:
     return hits
 
 
+def lint_lock_ranks(repo: Path, files: list[Path]) -> list[str]:
+    """unnamed-mutex (named but unranked), site-rank and
+    acquired-before-rank over the named Mutex declarations in `files`."""
+    errors: list[str] = []
+    enum = repo / LOCK_RANK_ENUM
+    ranks = ({m.group(1): int(m.group(2))
+              for m in LOCK_RANK_RE.finditer(enum.read_text())}
+             if enum.is_file() else {})
+    first_rank: dict[str, tuple[str, str]] = {}  # site -> (token, where)
+    for path in files:
+        text = path.read_text()
+        rp = path.relative_to(repo).as_posix()
+        members: dict[str, str] = {}  # member -> rank token
+        befores: list[tuple[str, str, str]] = []  # where, member, target
+        for m in NAMED_MUTEX_RE.finditer(text):
+            member, target, site, token = m.groups()
+            where = f"{rp}:{text.count(chr(10), 0, m.start()) + 1}"
+            if token is None:
+                errors.append(
+                    f"{where}: unnamed-mutex: site \"{site}\" declares no "
+                    "LockRank — declare it `Mutex mu_{\"site\", "
+                    "LockRank::k...};` so the rank checker sees it")
+                continue
+            members[member] = token
+            if target:
+                befores.append((where, member, target))
+            prev = first_rank.setdefault(site, (token, where))
+            if prev[0] != token:
+                errors.append(
+                    f"{where}: site-rank: site \"{site}\" re-declared with "
+                    f"rank k{token}, but k{prev[0]} at {prev[1]} — one site, "
+                    "one rank")
+        for where, member, target in befores:
+            r_mutex = ranks.get(members[member])
+            r_target = ranks.get(members.get(target, ""))
+            if r_mutex is not None and r_target is not None and r_mutex >= r_target:
+                errors.append(
+                    f"{where}: acquired-before-rank: CQ_ACQUIRED_BEFORE({target}) "
+                    f"on {member} contradicts the ranks ({r_mutex} >= "
+                    f"{r_target}) — the static and runtime checkers would "
+                    "disagree")
+    return errors
+
+
 def strip_line_comment(line: str) -> str:
     """Cut a trailing // comment (good enough: no multiline strings here)."""
     idx = line.find("//")
@@ -141,8 +206,11 @@ def lint_tree(repo: Path) -> list[str]:
                 )
         return out
 
-    # raw-mutex + string-counter: src/, examples/ and fuzz/.
-    for path in iter_files("src", "examples", "fuzz", suffixes=(".hpp", ".cpp", ".h")):
+    # raw-mutex + string-counter + the mutex naming/ranking rules: src/,
+    # examples/ and fuzz/.
+    code_files = iter_files("src", "examples", "fuzz", suffixes=(".hpp", ".cpp", ".h"))
+    errors += lint_lock_ranks(repo, code_files)
+    for path in code_files:
         rp = rel(path)
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             if COMMENT_RE.match(line):
@@ -229,23 +297,35 @@ def lint_tree(repo: Path) -> list[str]:
     return errors
 
 
+#: Scratch-tree rank enum for the lock-rank cases.
+SELF_TEST_ENUM = "enum class LockRank { kOuter = 10, kInner = 20, };\n"
+
+
 def self_test() -> int:
     """Seed one violation per rule into a scratch tree; every rule must fire."""
-    cases = {
-        "raw-mutex": ("src/bad_mutex.cpp", "static std::mutex mu;\n"),
-        "raw-thread": ("src/bad_thread.cpp", "void f() { std::thread t; t.join(); }\n"),
-        "string-counter": ("src/bad_counter.cpp", 'void f(M& m) { m.add("ad_hoc", 1); }\n'),
-        "pragma-once": ("src/bad_header.hpp", "struct NoGuard {};\n"),
-        "iostream": ("src/bad_print.cpp", "#include <iostream>\n"),
-        "fuzz-corpus": ("fuzz/fuzz_orphan.cpp", "int orphan_target();\n"),
-        "unnamed-mutex": ("src/bad_anon_mutex.cpp", "struct S { common::Mutex mu_; };\n"),
-        "swallowed-exception": (
-            "src/bad_catch.cpp",
-            "void f() { try { g(); } catch (...) { count += 1; } }\n",
-        ),
-    }
+    cases = [
+        ("raw-mutex", "src/bad_mutex.cpp", "static std::mutex mu;\n"),
+        ("raw-thread", "src/bad_thread.cpp", "void f() { std::thread t; t.join(); }\n"),
+        ("string-counter", "src/bad_counter.cpp", 'void f(M& m) { m.add("ad_hoc", 1); }\n'),
+        ("pragma-once", "src/bad_header.hpp", "struct NoGuard {};\n"),
+        ("iostream", "src/bad_print.cpp", "#include <iostream>\n"),
+        ("fuzz-corpus", "fuzz/fuzz_orphan.cpp", "int orphan_target();\n"),
+        ("unnamed-mutex", "src/bad_anon_mutex.cpp", "struct S { common::Mutex mu_; };\n"),
+        ("unnamed-mutex", "src/bad_unranked_mutex.cpp",
+         'struct S { common::Mutex mu_{"alpha"}; };\n'),
+        ("site-rank", "src/bad_site_rank.cpp",
+         'struct A { Mutex a_{"alpha", lockorder::LockRank::kOuter}; };\n'
+         'struct B { Mutex b_{"alpha",\n                   lockorder::LockRank::kInner}; };\n'),
+        ("acquired-before-rank", "src/bad_acquired_before.cpp",
+         'struct A {\n'
+         '  Mutex inner_ CQ_ACQUIRED_BEFORE(outer_){"zeta", LockRank::kInner};\n'
+         '  Mutex outer_{"alpha", LockRank::kOuter};\n'
+         '};\n'),
+        ("swallowed-exception", "src/bad_catch.cpp",
+         "void f() { try { g(); } catch (...) { count += 1; } }\n"),
+    ]
     failures = 0
-    for rule, (relpath, content) in cases.items():
+    for rule, relpath, content in cases:
         with tempfile.TemporaryDirectory() as tmp:
             scratch = Path(tmp)
             target = scratch / relpath
@@ -253,17 +333,26 @@ def self_test() -> int:
             if rule != "pragma-once" and target.suffix == ".hpp":
                 content = "#pragma once\n" + content
             target.write_text(content)
+            (scratch / LOCK_RANK_ENUM).parent.mkdir(parents=True, exist_ok=True)
+            (scratch / LOCK_RANK_ENUM).write_text("#pragma once\n" + SELF_TEST_ENUM)
             hits = [e for e in lint_tree(scratch) if f" {rule}:" in e]
             if hits:
                 print(f"self-test: {rule}: detected ({hits[0]})")
             else:
-                print(f"self-test: {rule}: NOT DETECTED", file=sys.stderr)
+                print(f"self-test: {rule}: NOT DETECTED ({relpath})", file=sys.stderr)
                 failures += 1
     # A clean scratch tree must produce no findings.
     with tempfile.TemporaryDirectory() as tmp:
         clean = Path(tmp)
         (clean / "src").mkdir()
-        (clean / "src" / "ok.hpp").write_text("#pragma once\nstruct Ok {};\n")
+        (clean / "src" / "ok.hpp").write_text(
+            "#pragma once\n"
+            'struct Ok {\n'
+            '  Mutex outer_ CQ_ACQUIRED_BEFORE(inner_){"alpha", LockRank::kOuter};\n'
+            '  Mutex inner_{"zeta",\n                LockRank::kInner, 1};\n'
+            '};\n')
+        (clean / LOCK_RANK_ENUM).parent.mkdir(parents=True, exist_ok=True)
+        (clean / LOCK_RANK_ENUM).write_text("#pragma once\n" + SELF_TEST_ENUM)
         leftovers = lint_tree(clean)
         if leftovers:
             print(f"self-test: clean tree flagged: {leftovers}", file=sys.stderr)

@@ -57,9 +57,8 @@ echo "===== repository invariants (lint) ====="
 python3 scripts/lint_invariants.py
 
 echo "===== cqlint (whole-project semantic analysis) ====="
-# set -eu above: a cqlint failure aborts the pipeline. Falls back to the
-# textual backend when libclang is absent; same rules either way.
-sh scripts/run_cqlint.sh
+# set -eu above: a cqlint failure aborts the pipeline.
+python3 scripts/cqlint/cqlint.py
 
 echo "===== concurrency stress (plain mode) ====="
 build/tests/concurrency_test --gtest_brief=1

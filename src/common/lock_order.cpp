@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #if defined(__has_include)
 #if __has_include(<execinfo.h>)
@@ -15,20 +14,13 @@ namespace cq::common::lockorder {
 
 namespace {
 
-// ----------------------------------------------------------- site table --
+using lockprof::kMaxSites;
+using lockprof::Site;
 
-struct SiteSlot {
-  std::atomic<const char*> name{nullptr};
-  std::atomic<std::uint16_t> rank{0};
-};
-
-SiteSlot g_sites[kMaxSites];
-std::atomic<std::size_t> g_site_count{0};
-
-// Edge matrix over site ids: g_edges[from][to] counts observations of
-// "from held while to acquired". Relaxed atomics — the graph is monotone
-// and approximate counts are fine; *existence* transitions (0 -> 1) drive
-// the cycle check and the journal hook.
+// Edge matrix over lock-site table indexes: g_edges[from][to] counts
+// observations of "from held while to acquired". Relaxed atomics — the
+// graph is monotone and approximate counts are fine; *existence*
+// transitions (0 -> 1) drive the cycle check and the journal hook.
 std::atomic<std::uint64_t> g_edges[kMaxSites][kMaxSites];
 
 std::atomic<std::uint64_t> g_violations{0};
@@ -45,7 +37,7 @@ struct Held {
   const char* name = nullptr;
   std::uint16_t rank = 0;
   std::uint32_t order_key = 0;
-  std::uint32_t site = kNoSite;
+  const Site* site = nullptr;
   int frames = 0;
   void* stack[kMaxFrames];
 };
@@ -116,17 +108,17 @@ void violation(const char* what, const ThreadState& state, const Held& held,
 /// the atomic matrix (no locks; the graph only ever grows, so a "yes" is
 /// definitive and a racing "no" at worst delays detection to the next
 /// observation of the same edge).
-bool reachable(std::uint32_t from, std::uint32_t to) noexcept {
-  const std::size_t n = g_site_count.load(std::memory_order_acquire);
+bool reachable(std::size_t from, std::size_t to) noexcept {
+  const std::size_t n = lockprof::site_count();
   bool visited[kMaxSites] = {};
-  std::uint32_t work[kMaxSites];
+  std::size_t work[kMaxSites];
   std::size_t top = 0;
   work[top++] = from;
   visited[from] = true;
   while (top > 0) {
-    const std::uint32_t cur = work[--top];
+    const std::size_t cur = work[--top];
     if (cur == to) return true;
-    for (std::uint32_t next = 0; next < n; ++next) {
+    for (std::size_t next = 0; next < n; ++next) {
       if (!visited[next] &&
           g_edges[cur][next].load(std::memory_order_relaxed) != 0) {
         visited[next] = true;
@@ -138,16 +130,18 @@ bool reachable(std::uint32_t from, std::uint32_t to) noexcept {
 }
 
 void record_edge(ThreadState& state, const Held& held, const char* acq_name,
-                 std::uint16_t acq_rank, std::uint32_t acq_site) noexcept {
-  if (held.site == kNoSite || acq_site == kNoSite || held.site == acq_site) {
+                 std::uint16_t acq_rank, const Site* acq_site) noexcept {
+  if (held.site == nullptr || acq_site == nullptr || held.site == acq_site) {
     return;
   }
+  const std::size_t from = lockprof::index_of(*held.site);
+  const std::size_t to = lockprof::index_of(*acq_site);
   const std::uint64_t prev =
-      g_edges[held.site][acq_site].fetch_add(1, std::memory_order_relaxed);
+      g_edges[from][to].fetch_add(1, std::memory_order_relaxed);
   if (prev != 0) return;  // edge already known
   // First observation: does the reverse direction already exist (directly
   // or transitively)? Then this acquisition just closed an ordering cycle.
-  if (reachable(acq_site, held.site)) {
+  if (reachable(to, from)) {
     violation("lock-order cycle closed by this acquisition", state, held,
               acq_name, acq_rank);
   }
@@ -168,33 +162,26 @@ void append_escaped(std::string& out, const char* s) {
   }
 }
 
-}  // namespace
-
-std::uint32_t register_site(const char* name, std::uint16_t rank) noexcept {
-  if (name == nullptr) return kNoSite;
-  const std::size_t n = g_site_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < n; ++i) {
-    const char* existing = g_sites[i].name.load(std::memory_order_acquire);
-    if (existing == name ||
-        (existing != nullptr && std::strcmp(existing, name) == 0)) {
-      return static_cast<std::uint32_t>(i);
-    }
-  }
-  for (;;) {
-    std::size_t slot = g_site_count.load(std::memory_order_relaxed);
-    if (slot >= kMaxSites) return kNoSite;
-    if (!g_site_count.compare_exchange_weak(slot, slot + 1,
-                                            std::memory_order_acq_rel)) {
-      continue;
-    }
-    g_sites[slot].rank.store(rank, std::memory_order_relaxed);
-    g_sites[slot].name.store(name, std::memory_order_release);
-    return static_cast<std::uint32_t>(slot);
-  }
+const char* name_of(std::size_t i) noexcept {
+  const char* name = lockprof::site(i).name.load(std::memory_order_acquire);
+  return name != nullptr ? name : "";
 }
 
+std::uint16_t rank_of(std::size_t i) noexcept {
+  return lockprof::site(i).rank.load(std::memory_order_relaxed);
+}
+
+/// Graph nodes: every registered site, but none with the checker compiled
+/// out — there the table holds only profiled sites and no edge is ever
+/// recorded, so the export keeps reporting an empty graph.
+std::size_t graph_sites() noexcept {
+  return compiled_in() ? lockprof::site_count() : 0;
+}
+
+}  // namespace
+
 void on_lock(const void* addr, const char* name, std::uint16_t rank,
-             std::uint32_t order_key, std::uint32_t site,
+             std::uint32_t order_key, const Site* site,
              bool blocking) noexcept {
   ThreadState& state = tls();
   if (state.in_checker) return;
@@ -243,12 +230,6 @@ void on_lock(const void* addr, const char* name, std::uint16_t rank,
 void on_unlock(const void* addr) noexcept {
   ThreadState& state = tls();
   if (state.in_checker) return;
-  if (state.overflow > 0) {
-    // Past-capacity acquisitions were never pushed; assume LIFO for the
-    // overflow region (it is test-scaffolding depth anyway).
-    --state.overflow;
-    return;
-  }
   for (std::size_t i = state.depth; i-- > 0;) {
     if (state.held[i].addr != addr) continue;
     for (std::size_t j = i + 1; j < state.depth; ++j) {
@@ -257,32 +238,15 @@ void on_unlock(const void* addr) noexcept {
     --state.depth;
     return;
   }
-  // Unlock of a mutex we never saw locked: tolerated (e.g. the checker
-  // was enabled mid-hold, or the stack overflowed past kMaxHeld).
+  // Not on the stack: one of the past-capacity acquisitions that were
+  // never pushed, or a mutex we never saw locked (e.g. the checker was
+  // enabled mid-hold) — tolerated either way.
+  if (state.overflow > 0) --state.overflow;
 }
 
 std::size_t held_depth() noexcept { return tls().depth; }
 
-std::size_t site_count() noexcept {
-  const std::size_t n = g_site_count.load(std::memory_order_acquire);
-  std::size_t ready = 0;
-  while (ready < n &&
-         g_sites[ready].name.load(std::memory_order_acquire) != nullptr) {
-    ++ready;
-  }
-  return ready;
-}
-
-SiteInfo site(std::size_t i) noexcept {
-  SiteInfo info;
-  if (i < kMaxSites) {
-    info.name = g_sites[i].name.load(std::memory_order_acquire);
-    info.rank = g_sites[i].rank.load(std::memory_order_relaxed);
-  }
-  return info;
-}
-
-std::uint64_t edge_count(std::uint32_t from, std::uint32_t to) noexcept {
+std::uint64_t edge_count(std::size_t from, std::size_t to) noexcept {
   if (from >= kMaxSites || to >= kMaxSites) return 0;
   return g_edges[from][to].load(std::memory_order_relaxed);
 }
@@ -292,16 +256,15 @@ std::uint64_t violations() noexcept {
 }
 
 std::string to_json() {
-  const std::size_t n = site_count();
+  const std::size_t n = graph_sites();
   std::string out = "{\"enabled\":";
   out += compiled_in() ? "true" : "false";
   out += ",\"sites\":[";
   for (std::size_t i = 0; i < n; ++i) {
-    const SiteInfo s = site(i);
     if (i > 0) out.push_back(',');
     out += "{\"id\":" + std::to_string(i) + ",\"name\":\"";
-    append_escaped(out, s.name != nullptr ? s.name : "");
-    out += "\",\"rank\":" + std::to_string(s.rank) + "}";
+    append_escaped(out, name_of(i));
+    out += "\",\"rank\":" + std::to_string(rank_of(i)) + "}";
   }
   out += "],\"edges\":[";
   bool first = true;
@@ -313,9 +276,9 @@ std::string to_json() {
       if (!first) out.push_back(',');
       first = false;
       out += "{\"from\":\"";
-      append_escaped(out, site(from).name != nullptr ? site(from).name : "");
+      append_escaped(out, name_of(from));
       out += "\",\"to\":\"";
-      append_escaped(out, site(to).name != nullptr ? site(to).name : "");
+      append_escaped(out, name_of(to));
       out += "\",\"count\":" + std::to_string(count) + "}";
     }
   }
@@ -324,15 +287,14 @@ std::string to_json() {
 }
 
 std::string to_dot() {
-  const std::size_t n = site_count();
+  const std::size_t n = graph_sites();
   std::string out = "digraph lockorder {\n  rankdir=TB;\n";
   for (std::size_t i = 0; i < n; ++i) {
-    const SiteInfo s = site(i);
     out += "  \"";
-    append_escaped(out, s.name != nullptr ? s.name : "");
+    append_escaped(out, name_of(i));
     out += "\" [label=\"";
-    append_escaped(out, s.name != nullptr ? s.name : "");
-    out += "\\nrank " + std::to_string(s.rank) + "\"];\n";
+    append_escaped(out, name_of(i));
+    out += "\\nrank " + std::to_string(rank_of(i)) + "\"];\n";
   }
   for (std::size_t from = 0; from < n; ++from) {
     for (std::size_t to = 0; to < n; ++to) {
@@ -340,9 +302,9 @@ std::string to_dot() {
           g_edges[from][to].load(std::memory_order_relaxed);
       if (count == 0) continue;
       out += "  \"";
-      append_escaped(out, site(from).name != nullptr ? site(from).name : "");
+      append_escaped(out, name_of(from));
       out += "\" -> \"";
-      append_escaped(out, site(to).name != nullptr ? site(to).name : "");
+      append_escaped(out, name_of(to));
       out += "\" [label=\"" + std::to_string(count) + "\"];\n";
     }
   }

@@ -1,7 +1,6 @@
 // Runtime lock-order verification for the annotated mutexes in
 // common/sync.hpp — layer 1 of the three-layer lock-discipline subsystem
-// (see docs/static-analysis.md and the checked-in hierarchy manifest
-// docs/lock-hierarchy.md).
+// (see docs/static-analysis.md and docs/lock-hierarchy.md).
 //
 // Every *named* cq::common::Mutex carries a LockRank. In a build with
 // CQ_LOCK_ORDER_CHECKS defined (default for Debug / RelWithDebInfo / the
@@ -21,9 +20,10 @@
 // (JSON + DOT) and each first-observed edge is journaled as a
 // `lock_order_edge` event via the installable edge hook.
 //
-// Like lock_profile.hpp, this header sits *below* sync.hpp (sync.hpp
-// includes it) and therefore never takes a lock of its own: the graph is
-// a fixed matrix of relaxed atomics and the held stack is thread-local.
+// Like lock_profile.hpp, whose site table names the graph's nodes, this
+// header sits *below* sync.hpp (sync.hpp includes it) and therefore never
+// takes a lock of its own: the graph is a fixed matrix of relaxed atomics
+// and the held stack is thread-local.
 #pragma once
 
 #include <atomic>
@@ -31,59 +31,81 @@
 #include <cstdint>
 #include <string>
 
+#include "common/lock_profile.hpp"
+
 namespace cq::common::lockorder {
 
-/// Acquisition ranks for the engine's long-lived mutex sites. Locks must
-/// be acquired in strictly increasing rank order: outermost (held the
-/// longest, taken first) ranks lowest. The numeric gaps are deliberate —
-/// new sites slot between existing layers without renumbering. Every
-/// ranked site must appear in docs/lock-hierarchy.md with its rationale;
-/// scripts/check_lock_order.py cross-checks code against that manifest.
+/// Acquisition ranks for the engine's long-lived mutex sites — the one
+/// source of truth for the lock hierarchy. Locks must be acquired in
+/// strictly increasing rank order: outermost (held the longest, taken
+/// first) ranks lowest. The numeric gaps are deliberate — new sites slot
+/// between existing layers without renumbering. Each enumerator's comment
+/// names the site literal that uses it and why it sits where it does;
+/// scripts/lint_invariants.py checks that every named library mutex
+/// declares a rank, that one site name keeps one rank, and that
+/// CQ_ACQUIRED_BEFORE agrees with these numbers.
 enum class LockRank : std::uint16_t {
   /// No rank declared. Unranked named mutexes (test scaffolding) are
   /// exempt from the monotonicity check but still feed the edge graph
   /// and its cycle detection.
   kUnranked = 0,
-  /// The engine "big lock": serializes the command/commit loop with the
-  /// introspection server's handlers. Outermost by construction.
+  /// "engine" (examples/cqshell.cpp): the engine big lock; serializes the
+  /// command/commit loop with every introspection handler. Outermost by
+  /// construction — nothing is held when it is taken.
   kEngine = 10,
-  /// diom::Mediator internal state (sources, cursors, sync stats).
+  /// "mediator" (diom::Mediator): source/cursor/sync state; taken by
+  /// handlers and sync rounds while "engine" is (possibly) held.
   kMediator = 20,
-  /// Per-shard catalog commit locks (catalog::Database). A *cohort*: the
-  /// shards share this rank and one site literal, and are acquired in
-  /// ascending shard order — each shard mutex carries its shard index as
-  /// an order key, and same-rank acquisition is legal only with strictly
-  /// ascending nonzero keys.
+  /// "commit_shard" (catalog::Database): per-shard commit locks. A
+  /// *cohort*: the shards share this rank and one site literal, and each
+  /// carries its shard index + 1 as an order key, so a committer takes its
+  /// closure's shards strictly ascending — same-rank acquisition is legal
+  /// only with strictly ascending nonzero keys. Taken by
+  /// Transaction::commit, DDL, GC and gauge refresh.
   kCommitShard = 22,
-  /// Commit timestamp/sequence allocator (catalog::Database) — the short
-  /// critical section that totally orders commits.
+  /// "commit_ts" (catalog::Database): commit timestamp and global sequence
+  /// allocation — one short critical section inside the shard locks that
+  /// totally orders commits.
   kCommitTs = 24,
-  /// CqManager registered-CQ map structure (install/finish vs. dispatch).
+  /// "cq_entries" (CqManager): the handle→CQ map *structure*
+  /// (install/remove/iteration); entry contents are guarded by the commit
+  /// closure's shard locks, not this mutex.
   kCqEntries = 26,
-  /// DeltaZoneRegistry per-relation zone clocks.
+  /// "delta_zones" (DeltaZoneRegistry): active delta-zone clocks; advanced
+  /// on whichever thread dispatches a commit, read by GC for the system
+  /// zone start.
   kDeltaZones = 28,
-  /// CqManager per-CQ stats registry.
+  /// "cq_stats" (CqManager): per-CQ stats registry, updated during commit
+  /// evaluation under the engine/mediator locks.
   kCqStats = 30,
-  /// core::LineageStore retention rings (delivery-time recording).
+  /// "lineage_store" (core::LineageStore): notification-lineage retention
+  /// rings, recorded at delivery time inside a commit.
   kLineageStore = 35,
-  /// ThreadPool queue mutex — acquired by the dispatcher while the
-  /// engine-side locks above are (possibly) held; never held across task
-  /// execution (drain releases it around run_task).
+  /// "pool" (ThreadPool): queue mutex. The dispatcher enqueues while the
+  /// engine-side locks above are (possibly) held, and drain releases it
+  /// around task execution, so it never wraps the locks below.
   kPool = 40,
-  /// DeltaRelation GC pin counts (pin_reads / truncate_before).
+  /// "delta_pins" (DeltaRelation): GC pin counts (pin_reads /
+  /// truncate_before), taken by every delta reader (trigger tests, the
+  /// DRA, pool workers mid-evaluation) and by GC.
   kDeltaPins = 55,
-  /// rel::prov relation-name interner.
+  /// "prov_interner" (relation/provenance.cpp): relation-name interner
+  /// consulted while building provenance sets.
   kProvInterner = 60,
-  /// Observability refresh-hook table: held *while hooks run*, and hooks
-  /// publish gauges, so this must rank before the registry.
+  /// "refresh_hooks" (observability.cpp): registry refresh-hook table,
+  /// held *while hooks run* — hooks publish gauges, so this must rank
+  /// before "obs_registry".
   kRefreshHooks = 65,
-  /// Structured journal ring (EventLog).
+  /// "event_log" (EventLog): structured journal ring; any layer may append
+  /// an event.
   kEventLog = 70,
-  /// Span/trace ring (TraceCollector).
+  /// "trace_ring" (TraceCollector): span/trace ring.
   kTraceRing = 72,
-  /// obs::Registry histogram/gauge maps.
+  /// "obs_registry" (obs::Registry): histogram/gauge maps — the innermost
+  /// engine lock: metric updates happen under everything above.
   kObsRegistry = 74,
-  /// Trace lane-name table.
+  /// "lane_names" (observability.cpp): trace lane-name table; a leaf, set
+  /// once per thread and read at export.
   kLaneNames = 76,
   /// Strictly-innermost leaf locks (test scaffolding that wants rank
   /// checking without claiming a real layer).
@@ -103,22 +125,6 @@ enum class LockRank : std::uint16_t {
 #endif
 }
 
-/// Capacity of the site table (mirrors lockprof::kMaxSites: sites are
-/// per-role compile-time literals, not per-instance).
-inline constexpr std::size_t kMaxSites = 64;
-
-/// Sentinel: "no graph slot" — table full, or not yet registered.
-inline constexpr std::uint32_t kNoSite = ~static_cast<std::uint32_t>(0);
-
-/// Find-or-create the graph slot for `name` (pointer-keyed, then string
-/// compare, so instances sharing a site literal aggregate into one node —
-/// lockdep-style lock classes). Returns kNoSite when the table is full;
-/// the mutex then still rank-checks but stays out of the graph. A site
-/// re-registered with a *different* nonzero rank keeps its first rank
-/// (scripts/check_lock_order.py rejects such drift at lint time).
-[[nodiscard]] std::uint32_t register_site(const char* name,
-                                          std::uint16_t rank) noexcept;
-
 /// Mutex::lock/try_lock instrumentation: rank-check `addr` against this
 /// thread's held stack (only when `blocking`), record held->acquired
 /// edges, then push. Aborts on a rank inversion, a self-deadlock (same
@@ -129,8 +135,12 @@ inline constexpr std::uint32_t kNoSite = ~static_cast<std::uint32_t>(0);
 /// *equals* a held rank is legal iff both carry nonzero order keys and
 /// the new key is strictly greater than every held same-rank key.
 /// Key 0 means "no cohort": equal-rank blocking stays a violation.
+///
+/// `site` is the mutex's entry in the lock-site table
+/// (common/lock_profile.hpp); nullptr when that table is full, in which
+/// case the acquisition is still checked but stays out of the graph.
 void on_lock(const void* addr, const char* name, std::uint16_t rank,
-             std::uint32_t order_key, std::uint32_t site,
+             std::uint32_t order_key, const lockprof::Site* site,
              bool blocking) noexcept;
 
 /// Mutex::unlock instrumentation: remove `addr` from the held stack
@@ -142,17 +152,10 @@ void on_unlock(const void* addr) noexcept;
 
 // ------------------------------------------------------- graph inspection --
 
-struct SiteInfo {
-  const char* name = nullptr;
-  std::uint16_t rank = 0;
-};
-
-[[nodiscard]] std::size_t site_count() noexcept;
-[[nodiscard]] SiteInfo site(std::size_t i) noexcept;
-
-/// Times the edge from->to was observed (0 = never).
-[[nodiscard]] std::uint64_t edge_count(std::uint32_t from,
-                                       std::uint32_t to) noexcept;
+/// Times the edge from->to was observed (0 = never); `from` and `to` are
+/// lock-site table indexes (lockprof::index_of).
+[[nodiscard]] std::uint64_t edge_count(std::size_t from,
+                                       std::size_t to) noexcept;
 
 /// Violations that were *reported* rather than aborted on (see
 /// set_abort_on_violation — tests flip it to assert on the count).

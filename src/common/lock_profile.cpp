@@ -15,12 +15,12 @@ std::uint64_t now_ns() noexcept {
 
 namespace {
 
-SiteStats g_sites[kMaxSites];
+Site g_sites[kMaxSites];
 std::atomic<std::size_t> g_site_count{0};
 
 }  // namespace
 
-SiteStats* register_site(const char* name) noexcept {
+Site* register_site(const char* name, std::uint16_t rank) noexcept {
   if (name == nullptr) return nullptr;
   const std::size_t n = g_site_count.load(std::memory_order_acquire);
   // Same literal (pointer) or same spelling: reuse the slot, so every
@@ -33,9 +33,7 @@ SiteStats* register_site(const char* name) noexcept {
   }
   // Claim the next free slot. Racing registrants may briefly create a
   // duplicate spelling (two threads registering the same new name); both
-  // slots stay valid and export distinguishes nothing — acceptable for a
-  // profiler, and impossible for the engine's compile-time site constants
-  // which all register through static locals in sync.hpp.
+  // slots stay valid and that role is split across two rows.
   for (;;) {
     std::size_t slot = g_site_count.load(std::memory_order_relaxed);
     if (slot >= kMaxSites) return nullptr;
@@ -43,6 +41,7 @@ SiteStats* register_site(const char* name) noexcept {
                                             std::memory_order_acq_rel)) {
       continue;
     }
+    g_sites[slot].rank.store(rank, std::memory_order_relaxed);
     g_sites[slot].name.store(name, std::memory_order_release);
     return &g_sites[slot];
   }
@@ -59,12 +58,16 @@ std::size_t site_count() noexcept {
   return ready;
 }
 
-const SiteStats& site(std::size_t i) noexcept { return g_sites[i]; }
+const Site& site(std::size_t i) noexcept { return g_sites[i]; }
+
+std::size_t index_of(const Site& s) noexcept {
+  return static_cast<std::size_t>(&s - g_sites);
+}
 
 void reset() noexcept {
   const std::size_t n = site_count();
   for (std::size_t i = 0; i < n; ++i) {
-    SiteStats& s = g_sites[i];
+    Site& s = g_sites[i];
     s.acquisitions.store(0, std::memory_order_relaxed);
     s.contended.store(0, std::memory_order_relaxed);
     s.wait_ns.store(0, std::memory_order_relaxed);

@@ -638,7 +638,7 @@ std::string export_profile_json() {
   w.key("lock_contention").begin_array();
   const std::size_t sites = lockprof::site_count();
   for (std::size_t i = 0; i < sites; ++i) {
-    const lockprof::SiteStats& s = lockprof::site(i);
+    const lockprof::Site& s = lockprof::site(i);
     const char* name = s.name.load(std::memory_order_acquire);
     w.begin_object();
     w.kv("site", name != nullptr ? name : "?");

@@ -147,7 +147,7 @@ namespace {
 void write_lockprof(PromWriter& w) {
   const std::size_t sites = lockprof::site_count();
   for (std::size_t i = 0; i < sites; ++i) {
-    const lockprof::SiteStats& s = lockprof::site(i);
+    const lockprof::Site& s = lockprof::site(i);
     const char* name = s.name.load(std::memory_order_acquire);
     if (name == nullptr) continue;
     const Labels labels{{"site", name}};

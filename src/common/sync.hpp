@@ -78,8 +78,9 @@ namespace cq::common {
 /// std::mutex as an annotated capability. Non-copyable, non-movable.
 ///
 /// A mutex constructed with a *site name* (a string literal naming its
-/// role: "pool", "trace_ring", "engine", ...) additionally participates in
-/// the opt-in contention profiler (common/lock_profile.hpp). While
+/// role: "pool", "trace_ring", "engine", ...) owns one entry in the
+/// lock-site table (common/lock_profile.hpp), shared by the opt-in
+/// contention profiler and the lock-order checker. While
 /// lockprof::enabled() is on, lock() takes a try_lock fast path and on a
 /// miss records time-to-acquire + a contention count against the site, and
 /// unlock() feeds the critical-section hold time into the site's
@@ -95,8 +96,8 @@ class CQ_CAPABILITY("mutex") Mutex {
   explicit Mutex(const char* site) noexcept : site_(site) {}
   /// Profiled and *ranked* variant: the mutex additionally participates
   /// in lock-order verification (common/lock_order.hpp) in checked
-  /// builds. Engine-lifetime mutexes must use this form — enforced by
-  /// scripts/check_lock_order.py against docs/lock-hierarchy.md.
+  /// builds. Library mutexes must use this form — enforced by
+  /// scripts/lint_invariants.py; LockRank documents every rank.
   Mutex(const char* site, lockorder::LockRank rank) noexcept
       : site_(site), rank_(lockorder::rank_value(rank)) {}
   /// Ranked *cohort* member: one of an ordered array of same-rank mutexes
@@ -120,7 +121,7 @@ class CQ_CAPABILITY("mutex") Mutex {
     CQ_SCHED_POINT("mutex.lock");
 #if defined(CQ_LOCK_ORDER_CHECKS)
     if (site_ != nullptr) {
-      lockorder::on_lock(this, site_, rank_, order_key_, order_site(),
+      lockorder::on_lock(this, site_, rank_, order_key_, entry(),
                          /*blocking=*/true);
     }
 #endif
@@ -150,7 +151,7 @@ class CQ_CAPABILITY("mutex") Mutex {
     // but the lock *is* now held, so it joins the stack (later blocking
     // acquisitions rank-check against it) and the edge graph.
     if (site_ != nullptr) {
-      lockorder::on_lock(this, site_, rank_, order_key_, order_site(),
+      lockorder::on_lock(this, site_, rank_, order_key_, entry(),
                          /*blocking=*/false);
     }
 #endif
@@ -163,7 +164,7 @@ class CQ_CAPABILITY("mutex") Mutex {
 
  private:
   void lock_profiled() noexcept {
-    lockprof::SiteStats* s = stats();
+    lockprof::Site* s = entry();
     if (s == nullptr) {  // site table full: behave like an unnamed mutex
       mu_.lock();
       return;
@@ -185,7 +186,7 @@ class CQ_CAPABILITY("mutex") Mutex {
   }
 
   void note_uncontended() noexcept {
-    if (lockprof::SiteStats* s = stats()) {
+    if (lockprof::Site* s = entry()) {
       s->acquisitions.fetch_add(1, std::memory_order_relaxed);
       hold_start_ns_ = lockprof::now_ns();
     }
@@ -194,43 +195,28 @@ class CQ_CAPABILITY("mutex") Mutex {
   void note_release() noexcept {
     const std::uint64_t held = lockprof::now_ns() - hold_start_ns_;
     hold_start_ns_ = 0;
-    if (lockprof::SiteStats* s = stats_.load(std::memory_order_relaxed)) {
+    if (lockprof::Site* s = entry_.load(std::memory_order_relaxed)) {
       s->hold_ns.fetch_add(held, std::memory_order_relaxed);
       s->hold_us.record(held / 1000);
     }
   }
 
-  [[nodiscard]] lockprof::SiteStats* stats() noexcept {
-    lockprof::SiteStats* s = stats_.load(std::memory_order_acquire);
+  /// Lazily registered lock-site entry (instances sharing a site literal
+  /// share it); nullptr while the table is full.
+  [[nodiscard]] lockprof::Site* entry() noexcept {
+    lockprof::Site* s = entry_.load(std::memory_order_acquire);
     if (s == nullptr) {
-      s = lockprof::register_site(site_);
-      if (s != nullptr) stats_.store(s, std::memory_order_release);
+      s = lockprof::register_site(site_, rank_);
+      if (s != nullptr) entry_.store(s, std::memory_order_release);
     }
     return s;
   }
-
-#if defined(CQ_LOCK_ORDER_CHECKS)
-  /// Lazily registered lock-order graph slot (first lock of any instance
-  /// of this site wins; instances sharing a site literal share the slot).
-  [[nodiscard]] std::uint32_t order_site() noexcept {
-    std::uint32_t s = order_site_.load(std::memory_order_relaxed);
-    if (s == kOrderSiteUnset) {
-      s = lockorder::register_site(site_, rank_);
-      order_site_.store(s, std::memory_order_relaxed);
-    }
-    return s;
-  }
-#endif
 
   std::mutex mu_;
   const char* site_ = nullptr;
   std::uint16_t rank_ = 0;       // lockorder::LockRank; 0 = unranked
   std::uint32_t order_key_ = 0;  // cohort index; 0 = not a cohort member
-  std::atomic<lockprof::SiteStats*> stats_{nullptr};
-#if defined(CQ_LOCK_ORDER_CHECKS)
-  static constexpr std::uint32_t kOrderSiteUnset = lockorder::kNoSite - 1;
-  std::atomic<std::uint32_t> order_site_{kOrderSiteUnset};
-#endif
+  std::atomic<lockprof::Site*> entry_{nullptr};
   // Steady-clock instant the current profiled hold began; 0 when the hold
   // is unprofiled. Written only by the holding thread, ordered by mu_.
   std::uint64_t hold_start_ns_ = 0;

@@ -457,7 +457,7 @@ TEST(LockProfileConcurrency, ContendedAcquisitionsAreCounted) {
   mu.lock();  // registers the site row
   mu.unlock();
 
-  const lockprof::SiteStats* row = nullptr;
+  const lockprof::Site* row = nullptr;
   for (std::size_t i = 0; i < lockprof::site_count(); ++i) {
     const char* name = lockprof::site(i).name.load(std::memory_order_acquire);
     if (name != nullptr && std::string(name) == "tsan_lockprof_site") {

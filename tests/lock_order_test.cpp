@@ -10,6 +10,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +49,17 @@ using lockorder::LockRank;
 // Site names in this file are zz_-prefixed compile-time literals so they
 // (a) aggregate with nothing from the engine and (b) are recognizable as
 // test scaffolding in a /lockgraph dump from this binary.
+
+constexpr std::size_t kNoSite = lockprof::kMaxSites;
+
+/// Lock-site table index of the site named `name`; kNoSite when absent.
+std::size_t site_index(const std::string& name) {
+  for (std::size_t i = 0; i < lockprof::site_count(); ++i) {
+    const char* n = lockprof::site(i).name.load(std::memory_order_acquire);
+    if (n != nullptr && name == n) return i;
+  }
+  return kNoSite;
+}
 
 TEST(LockOrder, JsonExportAlwaysLinksAndReportsEnabledFlag) {
   const std::string json = lockorder::to_json();
@@ -194,6 +207,62 @@ TEST(LockOrder, UnrankedSitesFeedTheGraphButSkipRankChecks) {
   EXPECT_GT(lockorder::violations(), before);
 }
 
+TEST(LockOrder, NonLifoReleasePastHeldCapacityLeavesNoStaleEntry) {
+  if (!lockorder::compiled_in()) GTEST_SKIP() << "checker compiled out";
+  // The held stack keeps 16 entries; the 17th acquisition is only
+  // counted. Releasing the *first* mutex while past capacity must still
+  // pop its entry, or relocking it reports a false self-deadlock. One
+  // shared unranked site: one table slot, no rank checks, no edges.
+  constexpr std::size_t kPastCapacity = 17;
+  std::vector<std::unique_ptr<common::Mutex>> mus;
+  for (std::size_t i = 0; i < kPastCapacity; ++i) {
+    mus.push_back(std::make_unique<common::Mutex>("zz_overflow"));
+  }
+  const std::uint64_t before = lockorder::violations();
+  lockorder::set_abort_on_violation(false);
+  for (auto& mu : mus) mu->lock();
+  mus.front()->unlock();
+  mus.front()->lock();
+  for (auto& mu : mus) mu->unlock();
+  lockorder::set_abort_on_violation(true);
+  EXPECT_EQ(lockorder::violations(), before);
+  EXPECT_EQ(lockorder::held_depth(), 0u);
+}
+
+/// Fills the process-global lock-site table, then checks a mutex whose
+/// site finds no slot: lockable, still rank-checked, but in neither the
+/// graph nor the profiler rows. Returns the number of failed checks.
+int lock_past_full_site_table() {
+  static std::vector<std::unique_ptr<std::string>> names;
+  while (true) {
+    names.push_back(std::make_unique<std::string>(
+        "zz_fill_" + std::to_string(names.size())));
+    if (lockprof::register_site(names.back()->c_str(), 0) == nullptr) break;
+  }
+  int failures = 0;
+  lockprof::set_enabled(true);
+  lockorder::set_abort_on_violation(false);
+  const std::uint64_t before = lockorder::violations();
+  {
+    common::Mutex outer{"zz_full_outer", LockRank::kLeaf};
+    common::Mutex inner{"zz_full_inner", LockRank::kEventLog};
+    common::LockGuard hold(outer);
+    common::LockGuard bad(inner);  // inversion: counted without a slot
+  }
+  if (lockorder::compiled_in() && lockorder::violations() == before) ++failures;
+  if (lockorder::held_depth() != 0) ++failures;
+  if (site_index("zz_full_outer") != kNoSite) ++failures;
+  if (site_index("zz_full_inner") != kNoSite) ++failures;
+  if (lockorder::to_json().find("zz_full_") != std::string::npos) ++failures;
+  return failures;
+}
+
+TEST(LockOrderDeathTest, MutexPastFullSiteTableStaysLockableAndChecked) {
+  // In a child process: the filled table must not leak into later tests.
+  EXPECT_EXIT(std::exit(lock_past_full_site_table()),
+              ::testing::ExitedWithCode(0), "");
+}
+
 TEST(LockOrder, GraphRecordsEdgesAndExportsJsonAndDot) {
   if (!lockorder::compiled_in()) GTEST_SKIP() << "checker compiled out";
   common::Mutex outer{"zz_graph_outer", LockRank::kRefreshHooks};
@@ -203,16 +272,10 @@ TEST(LockOrder, GraphRecordsEdgesAndExportsJsonAndDot) {
     common::LockGuard li(inner);
   }
   // Find both site ids and assert the directed edge was counted.
-  std::uint32_t from = lockorder::kNoSite;
-  std::uint32_t to = lockorder::kNoSite;
-  for (std::size_t i = 0; i < lockorder::site_count(); ++i) {
-    const char* name = lockorder::site(i).name;
-    if (name == nullptr) continue;
-    if (std::string(name) == "zz_graph_outer") from = static_cast<std::uint32_t>(i);
-    if (std::string(name) == "zz_graph_inner") to = static_cast<std::uint32_t>(i);
-  }
-  ASSERT_NE(from, lockorder::kNoSite);
-  ASSERT_NE(to, lockorder::kNoSite);
+  const std::size_t from = site_index("zz_graph_outer");
+  const std::size_t to = site_index("zz_graph_inner");
+  ASSERT_NE(from, kNoSite);
+  ASSERT_NE(to, kNoSite);
   EXPECT_GT(lockorder::edge_count(from, to), 0u);
   EXPECT_EQ(lockorder::edge_count(to, from), 0u);
 
@@ -294,14 +357,9 @@ TEST(LockOrder, LockprofHoldTimeExcludesCondVarWait) {
   waiter.join();
   lockprof::set_enabled(false);
 
-  const lockprof::SiteStats* row = nullptr;
-  for (std::size_t i = 0; i < lockprof::site_count(); ++i) {
-    const char* name = lockprof::site(i).name.load(std::memory_order_acquire);
-    if (name != nullptr && std::string(name) == "zz_cv_prof") {
-      row = &lockprof::site(i);
-    }
-  }
-  ASSERT_NE(row, nullptr);
+  const std::size_t i = site_index("zz_cv_prof");
+  ASSERT_NE(i, kNoSite);
+  const lockprof::Site* row = &lockprof::site(i);
   // Initial lock + at least one relock after the wait + the notifier.
   EXPECT_GE(row->acquisitions.load(std::memory_order_relaxed), 3u);
   // The 150ms parked in the wait must not be billed as hold time.

@@ -68,4 +68,36 @@ inline std::string name_ok(DeltaKind k) {
   }
 }
 
+// An unscoped enum: its case labels carry no qualifier, so the enum is
+// resolved from the variant names alone (the metric::Id shape).
+enum Counter : int { kRows, kBytes, kProbes, kCounterCount };
+
+// VIOLATION: unqualified labels, kProbes missing.
+inline const char* counter_name(Counter c) {
+  switch (c) {  // cqlint-expect: exhaustive-switch
+    case kRows:
+      return "rows";
+    case kBytes:
+      return "bytes";
+    case kCounterCount:
+      break;
+  }
+  return "?";
+}
+
+// OK (near-miss): unqualified labels covering every variant.
+inline const char* counter_name_ok(Counter c) {
+  switch (c) {
+    case kRows:
+      return "rows";
+    case kBytes:
+      return "bytes";
+    case kProbes:
+      return "probes";
+    case kCounterCount:
+      break;
+  }
+  return "?";
+}
+
 }  // namespace cq

@@ -5,8 +5,7 @@
 // marked `cqlint-expect` (and nowhere else: the copying accessor and the
 // unguarded reference below are deliberate near-misses).
 //
-// Self-contained stubs mirroring src/common/sync.hpp so both the
-// libclang and the textual backend resolve the same shapes.
+// Self-contained stubs mirroring src/common/sync.hpp.
 #include <map>
 #include <string>
 #include <vector>
@@ -44,6 +43,13 @@ class StatsRegistry {
   const std::map<std::string, int>* by_name() const {  // cqlint-expect: guarded-ref-escape
     common::LockGuard lock(mu_);
     return &by_name_;
+  }
+
+  // VIOLATION: a trailing return type hides the reference from a
+  // return-type scan that reads only the text before the name.
+  auto rows_trailing() const -> const std::vector<int>& {  // cqlint-expect: guarded-ref-escape
+    common::LockGuard lock(mu_);
+    return rows_;
   }
 
   // OK (near-miss): copy-returning accessor — the repo-sanctioned shape.

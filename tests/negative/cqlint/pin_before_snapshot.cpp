@@ -2,8 +2,8 @@
 //
 // DeltaRelation reads (net_effect / insertions / deletions) must happen
 // under a live ReadPin — otherwise GC may truncate the delta log rows
-// mid-read (use-after-truncate). Reads through a DeltaSnapshot are safe:
-// the snapshot takes its own pin at construction.
+// mid-read (use-after-truncate). A class that holds a ReadPin member
+// pins every read its member functions make.
 #include <cstdint>
 #include <vector>
 
@@ -35,9 +35,11 @@ class DeltaRelation {
   std::vector<DeltaRow> rows_;
 };
 
-class DeltaSnapshot {
+// OK (near-miss): the member read below is pinned for the object's
+// whole lifetime by pin_.
+class PinnedView {
  public:
-  explicit DeltaSnapshot(const DeltaRelation& source)
+  explicit PinnedView(const DeltaRelation& source)
       : source_(source), pin_(source.pin_reads()) {}
   const std::vector<DeltaRow>& net_effect(std::int64_t since) const {
     return source_.net_effect(since);
@@ -74,9 +76,10 @@ std::size_t count_pinned(const delta::DeltaRelation& rel, std::int64_t since) {
   return rel.net_effect(since).size();
 }
 
-// OK (near-miss): a DeltaSnapshot receiver pins internally.
-std::size_t count_via_snapshot(const delta::DeltaSnapshot& snap, std::int64_t since) {
-  return snap.net_effect(since).size();
+// VIOLATION: a receiver *named* like a snapshot is no pin — only a live
+// ReadPin is.
+std::size_t count_snap(const delta::DeltaRelation& snap, std::int64_t since) {
+  return snap.net_effect(since).size();  // cqlint-expect: pin-before-snapshot
 }
 
 }  // namespace cq

@@ -1,10 +1,11 @@
 // cqlint negative fixture: worker-purity.
 //
 // Lambdas submitted to ThreadPool::run_all execute on pool lanes with
-// no engine lock held. They may capture engine state only by value, or
-// by reference through sanctioned read-only snapshot/context types —
+// no engine lock held. They may capture engine state only by value —
 // everything else must flow back through the serially-replayed side
-// effect channel.
+// effect channel, and a by-reference capture that provably cannot race
+// needs a baseline entry saying why.
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -25,8 +26,11 @@ struct Outcome {
   bool ok = false;
 };
 
-// Sanctioned read-only view type (matches the engine's SnapshotMap).
 using SnapshotMap = std::map<std::string, int>;
+
+struct TriggerContext {
+  int fired = 0;
+};
 
 class Engine {
  public:
@@ -74,12 +78,44 @@ class Engine {
     pool.run_all(std::move(tasks));
   }
 
-  // OK (near-miss): a reference to a sanctioned snapshot type — the
-  // engine guarantees SnapshotMap is immutable for the batch lifetime.
+  // VIOLATION: no type name makes a by-reference capture pure — a
+  // "snapshot" is shared mutable state unless someone proves otherwise.
   void eval_snapshot_ref(common::ThreadPool& pool) {
     SnapshotMap snapshots;
     std::vector<std::function<void()>> tasks;
-    tasks.emplace_back([&snapshots]() { (void)snapshots.size(); });
+    tasks.emplace_back([&snapshots]() { (void)snapshots.size(); });  // cqlint-expect: worker-purity
+    pool.run_all(std::move(tasks));
+  }
+
+  // VIOLATION: nor does a name ending in Context.
+  void eval_context_ref(common::ThreadPool& pool) {
+    TriggerContext ctx;
+    std::vector<std::function<void()>> tasks;
+    tasks.emplace_back([&ctx]() { ctx.fired += 1; });  // cqlint-expect: worker-purity
+    pool.run_all(std::move(tasks));
+  }
+
+  // VIOLATION: a worker bound to a local first and pushed by name is
+  // still a worker.
+  void eval_bound_worker(common::ThreadPool& pool) {
+    std::vector<Outcome> outcomes(4);
+    std::vector<std::function<void()>> tasks;
+    auto task = [&outcomes]() { outcomes[1].ok = true; };  // cqlint-expect: worker-purity
+    tasks.push_back(std::move(task));
+    pool.run_all(std::move(tasks));
+  }
+
+  // OK (near-miss): a by-reference lambda that never reaches the pool
+  // (a sort comparator) is not a worker.
+  void eval_with_comparator(common::ThreadPool& pool) {
+    std::vector<int> order{3, 1, 2};
+    int flips = 0;
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      ++flips;
+      return a < b;
+    });
+    std::vector<std::function<void()>> tasks;
+    tasks.emplace_back([flips]() { (void)flips; });
     pool.run_all(std::move(tasks));
   }
 
