@@ -18,8 +18,10 @@
 //     _thresholds).
 //
 // CI runs this binary under scripts/check_bench.py --strict (the
-// bench-check job): the committed baseline encodes the expected >= 2x
-// ratio between the 1-lane and 4-lane rows via the derived counters.
+// bench-check job), which gates only histogram medians against the
+// committed baseline. The derived counters it prints are never gated, so
+// nothing checks a ratio between the 1-lane and 4-lane rows; on wall
+// clock, 4 lanes are not faster than 1 (docs/performance.md §5).
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -1,5 +1,7 @@
 #include "algebra/ops.hpp"
 
+#include <algorithm>
+
 #include "algebra/predicate.hpp"
 #include "common/error.hpp"
 #include "common/observability.hpp"
@@ -92,6 +94,12 @@ Relation hash_join(const Relation& left, const Relation& right,
 
   rel::HashIndex index(build, build_cols);
   for (const auto& p : probe.rows()) {
+    // NULL equals nothing, itself included (as in the nested-loop join's
+    // predicate), yet the index groups NULL keys together.
+    if (std::any_of(probe_cols.begin(), probe_cols.end(),
+                    [&](std::size_t c) { return p.at(c).is_null(); })) {
+      continue;
+    }
     for (auto pos : index.probe(p, probe_cols)) {
       const Tuple& b = build.row(pos);
       Tuple combined = build_left ? b.concat(p) : p.concat(b);
@@ -156,12 +164,10 @@ Relation difference(const Relation& a, const Relation& b) {
   rel::TupleBag to_remove;
   for (const auto& row : b.rows()) to_remove.add(row, +1);
   Relation out(a.schema());
-  // Count occurrences of each value-row in a as we stream, removing up to
-  // the multiplicity present in b.
-  rel::TupleBag removed;
+  // Stream a, dropping each value-row while b still has an unmatched copy.
   for (const auto& row : a.rows()) {
-    if (removed.count(row) < to_remove.count(row)) {
-      removed.add(row, +1);
+    if (to_remove.count(row) > 0) {
+      to_remove.add(row, -1);
     } else {
       out.append(row);
     }
@@ -175,11 +181,10 @@ Relation intersect(const Relation& a, const Relation& b) {
   }
   rel::TupleBag available;
   for (const auto& row : b.rows()) available.add(row, +1);
-  rel::TupleBag taken;
   Relation out(a.schema());
   for (const auto& row : a.rows()) {
-    if (taken.count(row) < available.count(row)) {
-      taken.add(row, +1);
+    if (available.count(row) > 0) {
+      available.add(row, -1);
       out.append(row);
     }
   }

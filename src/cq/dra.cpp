@@ -280,12 +280,14 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     }
 
     const rel::Schema combined = acc.pos.schema().concat(schemas[p]);
-    // Everything else (uncovered equi pairs, residual conjuncts, and the
-    // base table's own pushed-down filter) applies on the combined row.
-    std::vector<ExprPtr> checks = applicable;
+    // The base table's own pushed-down filter runs on the matched base row
+    // (schemas[p] has the base table's column positions), so a row it
+    // rejects is never concatenated. The applicable conjuncts, equi pairs
+    // included (the index groups NULL keys together, the conjunct rejects
+    // them), run on the joined row.
     const ExprPtr base_filter = planned.filter(p);
-    if (!alg::is_always_true(base_filter)) checks.push_back(base_filter);
-    const ExprPtr residual = alg::conjoin(checks);
+    const bool check_base = !alg::is_always_true(base_filter);
+    const ExprPtr residual = alg::conjoin(applicable);
     const bool check_residual = !alg::is_always_true(residual);
 
     auto probe_side = [&](const Relation& side, Relation& result) {
@@ -296,8 +298,9 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
         for (const rel::TupleId tid : index->probe(key)) {
           const rel::Tuple* match = base_table.find(tid);
           CQ_ASSERT(match != nullptr);
-          rel::Tuple joined = row.concat(*match);
           if (metrics != nullptr) metrics->add(common::metric::kTuplesCompared, 1);
+          if (check_base && !base_filter->eval_bool(*match, schemas[p])) continue;
+          rel::Tuple joined = row.concat(*match);
           if (!check_residual || residual->eval_bool(joined, combined)) {
             result.append(std::move(joined));
           }

@@ -47,7 +47,7 @@ void Relation::insert(Tuple tuple) {
     throw common::InvalidArgument("Relation::insert duplicate tid " + tuple.tid().to_string());
   }
   next_tid_ = std::max(next_tid_, tuple.tid().raw() + 1);
-  by_tid_.emplace(tuple.tid(), rows_.size());
+  by_tid_.assign(tuple.tid(), rows_.size());
   rows_.push_back(std::move(tuple));
 }
 
@@ -58,38 +58,38 @@ TupleId Relation::insert_values(std::vector<Value> values) {
 }
 
 Tuple Relation::erase(TupleId tid) {
-  auto it = by_tid_.find(tid);
-  if (it == by_tid_.end()) {
+  const std::size_t* at = by_tid_.find(tid);
+  if (at == nullptr) {
     throw common::NotFound("Relation::erase: no tid " + tid.to_string());
   }
-  const std::size_t idx = it->second;
+  const std::size_t idx = *at;
   Tuple removed = std::move(rows_[idx]);
-  by_tid_.erase(it);
+  by_tid_.erase(tid);
   if (idx + 1 != rows_.size()) {
     rows_[idx] = std::move(rows_.back());
-    if (rows_[idx].tid().valid()) by_tid_[rows_[idx].tid()] = idx;
+    if (rows_[idx].tid().valid()) by_tid_.assign(rows_[idx].tid(), idx);
   }
   rows_.pop_back();
   return removed;
 }
 
 Tuple Relation::update(TupleId tid, std::vector<Value> values) {
-  auto it = by_tid_.find(tid);
-  if (it == by_tid_.end()) {
+  const std::size_t* at = by_tid_.find(tid);
+  if (at == nullptr) {
     throw common::NotFound("Relation::update: no tid " + tid.to_string());
   }
   Tuple replacement(std::move(values), tid);
   check_arity(replacement);
-  Tuple old = std::move(rows_[it->second]);
-  rows_[it->second] = std::move(replacement);
+  Tuple old = std::move(rows_[*at]);
+  rows_[*at] = std::move(replacement);
   return old;
 }
 
 bool Relation::contains(TupleId tid) const noexcept { return by_tid_.contains(tid); }
 
 const Tuple* Relation::find(TupleId tid) const noexcept {
-  auto it = by_tid_.find(tid);
-  return it == by_tid_.end() ? nullptr : &rows_[it->second];
+  const std::size_t* at = by_tid_.find(tid);
+  return at == nullptr ? nullptr : &rows_[*at];
 }
 
 void Relation::append(Tuple tuple) {
@@ -99,7 +99,7 @@ void Relation::append(Tuple tuple) {
       // Derived results can legitimately carry repeated tids (e.g. a tuple
       // matched twice through a self-join); index only the first occurrence.
     } else {
-      by_tid_.emplace(tuple.tid(), rows_.size());
+      by_tid_.assign(tuple.tid(), rows_.size());
       next_tid_ = std::max(next_tid_, tuple.tid().raw() + 1);
     }
   }
@@ -109,13 +109,10 @@ void Relation::append(Tuple tuple) {
 bool Relation::remove_one_by_value(const Tuple& values) {
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     if (rows_[i].same_values(values)) {
-      if (rows_[i].tid().valid()) by_tid_.erase(rows_[i].tid());
+      by_tid_.erase(rows_[i].tid());
       if (i + 1 != rows_.size()) {
         rows_[i] = std::move(rows_.back());
-        if (rows_[i].tid().valid()) {
-          auto it = by_tid_.find(rows_[i].tid());
-          if (it != by_tid_.end()) it->second = i;
-        }
+        if (std::size_t* at = by_tid_.find(rows_[i].tid())) *at = i;
       }
       rows_.pop_back();
       return true;
@@ -126,16 +123,12 @@ bool Relation::remove_one_by_value(const Tuple& values) {
 
 bool Relation::remove_one(const Tuple& tuple) {
   if (tuple.tid().valid()) {
-    auto it = by_tid_.find(tuple.tid());
-    if (it != by_tid_.end()) {
-      const std::size_t idx = it->second;
-      by_tid_.erase(it);
+    if (const std::size_t* at = by_tid_.find(tuple.tid())) {
+      const std::size_t idx = *at;
+      by_tid_.erase(tuple.tid());
       if (idx + 1 != rows_.size()) {
         rows_[idx] = std::move(rows_.back());
-        if (rows_[idx].tid().valid()) {
-          auto bt = by_tid_.find(rows_[idx].tid());
-          if (bt != by_tid_.end()) bt->second = idx;
-        }
+        if (std::size_t* moved = by_tid_.find(rows_[idx].tid())) *moved = idx;
       }
       rows_.pop_back();
       return true;
@@ -198,11 +191,11 @@ std::vector<Tuple> Relation::sorted_rows() const {
 }
 
 void TupleBag::add(const Tuple& t, std::ptrdiff_t count) {
-  // Strip the tid so identical values always land in one bucket.
-  Tuple key(t.values());
-  auto it = counts_.find(key);
+  // Hash and Eq read values only, so the caller's tuple is the lookup key;
+  // a first insert stores a tid- and lineage-free copy.
+  auto it = counts_.find(t);
   if (it == counts_.end()) {
-    counts_.emplace(std::move(key), count);
+    counts_.emplace(Tuple(t.values()), count);
   } else {
     it->second += count;
     if (it->second == 0) counts_.erase(it);
@@ -210,7 +203,7 @@ void TupleBag::add(const Tuple& t, std::ptrdiff_t count) {
 }
 
 std::ptrdiff_t TupleBag::count(const Tuple& t) const {
-  auto it = counts_.find(Tuple(t.values()));
+  auto it = counts_.find(t);
   return it == counts_.end() ? 0 : it->second;
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "relation/schema.hpp"
+#include "relation/tid_map.hpp"
 #include "relation/tuple.hpp"
 
 namespace cq::rel {
@@ -109,7 +110,7 @@ class Relation {
 
   Schema schema_;
   std::vector<Tuple> rows_;
-  std::unordered_map<TupleId, std::size_t> by_tid_;
+  TidMap by_tid_;
   TupleId::rep next_tid_ = 1;
 };
 

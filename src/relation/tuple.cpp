@@ -27,7 +27,9 @@ std::size_t Tuple::value_hash() const noexcept {
 }
 
 Tuple Tuple::concat(const Tuple& other) const {
-  std::vector<Value> merged = values_;
+  std::vector<Value> merged;
+  merged.reserve(values_.size() + other.values_.size());
+  merged.insert(merged.end(), values_.begin(), values_.end());
   merged.insert(merged.end(), other.values_.begin(), other.values_.end());
   Tuple joined(std::move(merged));
   if (prov_ || other.prov_) joined.prov_ = prov::merge(prov_, other.prov_);

@@ -81,6 +81,23 @@ TEST(HashJoin, MatchesNestedLoop) {
   EXPECT_TRUE(nl.equal_multiset(hj));
 }
 
+TEST(HashJoin, NullKeysMatchNothingAsInNestedLoop) {
+  // NULL = NULL is false in a predicate, so neither join pairs NULL keys,
+  // whichever side the hash join builds on (the smaller one).
+  const auto pred = Expr::cmp(CmpOp::kEq, Expr::col("p.dept"), Expr::col("d.id"));
+  for (const int extra_people : {0, 2}) {
+    Relation left = people();
+    left.append(Tuple{Value("dan"), Value::null()});
+    for (int i = 0; i < extra_people; ++i) left.append(Tuple{Value("eve"), Value::null()});
+    Relation right = depts();
+    right.append(Tuple{Value::null(), Value("tbd")});
+    const Relation nl = nested_loop_join(left, right, pred.get());
+    const Relation hj = hash_join(left, right, {{1, 0}}, nullptr);
+    EXPECT_EQ(nl.size(), 3u);
+    EXPECT_TRUE(nl.equal_multiset(hj)) << hj.to_string();
+  }
+}
+
 TEST(HashJoin, ResidualPredicate) {
   const auto residual = Expr::col_cmp("d.label", CmpOp::kEq, Value("eng"));
   const Relation out = hash_join(people(), depts(), {{1, 0}}, residual.get());
