@@ -116,7 +116,7 @@ Relation hash_join(const Relation& left, const Relation& right,
 }
 
 Relation join(const Relation& left, const Relation& right, const ExprPtr& predicate,
-              Metrics* metrics) {
+              Metrics* metrics, bool use_hash) {
   JoinAnalysis analysis = analyze_join(predicate, left.schema(), right.schema());
   // Push single-side conjuncts down before the join proper.
   const Relation* l = &left;
@@ -131,10 +131,14 @@ Relation join(const Relation& left, const Relation& right, const ExprPtr& predic
     rf = select(right, *conjoin(analysis.right_only), metrics);
     r = &rf;
   }
-  if (!analysis.equi_pairs.empty()) {
+  if (!analysis.equi_pairs.empty() && use_hash) {
     const ExprPtr residual = analysis.residual_predicate();
     return hash_join(*l, *r, analysis.equi_pairs,
                      is_always_true(residual) ? nullptr : residual.get(), metrics);
+  }
+  for (const auto& [lc, rc] : analysis.equi_pairs) {
+    analysis.residual.push_back(Expr::cmp(CmpOp::kEq, Expr::col(left.schema().at(lc).name),
+                                          Expr::col(right.schema().at(rc).name)));
   }
   const ExprPtr residual = analysis.residual_predicate();
   return nested_loop_join(*l, *r, is_always_true(residual) ? nullptr : residual.get(),

@@ -40,11 +40,14 @@ namespace cq::alg {
     const std::vector<std::pair<std::size_t, std::size_t>>& equi_pairs,
     const Expr* residual, common::Metrics* metrics = nullptr);
 
-/// General join entry point: analyzes the predicate and picks hash join when
-/// at least one equi pair exists, nested-loop otherwise.
+/// General join entry point: pushes single-side conjuncts below the join,
+/// then picks hash join when at least one equi pair exists, nested-loop
+/// otherwise. With use_hash = false (ablation A1) it never builds a hash
+/// table: the equi pairs are checked on the concatenated row instead.
 [[nodiscard]] rel::Relation join(const rel::Relation& left, const rel::Relation& right,
                                  const ExprPtr& predicate,
-                                 common::Metrics* metrics = nullptr);
+                                 common::Metrics* metrics = nullptr,
+                                 bool use_hash = true);
 
 /// Multiset union (UNION ALL). Schemas must be union-compatible; the output
 /// uses the left schema.

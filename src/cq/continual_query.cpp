@@ -2,9 +2,9 @@
 
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "algebra/ops.hpp"
-#include "algebra/predicate.hpp"
 #include "common/error.hpp"
 #include "cq/propagate.hpp"
 #include "query/parser.hpp"
@@ -37,7 +37,7 @@ CqSpec CqSpec::from_sql(std::string name, const std::string& sql, TriggerPtr tri
 }
 
 ContinualQuery::ContinualQuery(CqSpec spec, const cat::Database& db)
-    : spec_(std::move(spec)), last_exec_(Timestamp::min()) {
+    : spec_(std::move(spec)), core_(spec_.query.spj_core()), last_exec_(Timestamp::min()) {
   spec_.query.validate();
   if (!spec_.trigger) throw common::InvalidArgument("CQ '" + spec_.name + "': no trigger");
   if (!spec_.stop) spec_.stop = stop::never();
@@ -47,19 +47,6 @@ ContinualQuery::ContinualQuery(CqSpec spec, const cat::Database& db)
     }
     relations_.push_back(ref.table);
   }
-}
-
-qry::SpjQuery ContinualQuery::spj_core() const {
-  qry::SpjQuery core = spec_.query;
-  core.distinct = false;
-  core.order_by.clear();  // ordering is presentation-only
-  if (core.is_aggregate()) {
-    core.projection.clear();  // aggregates read the full joined row
-    core.aggregates.clear();
-    core.group_by.clear();
-    core.having = nullptr;  // applied at delivery, over the aggregate output
-  }
-  return core;
 }
 
 rel::Relation ContinualQuery::delivered_aggregate() const {
@@ -84,33 +71,13 @@ ContinualQuery::Staleness ContinualQuery::staleness(const cat::Database& db) con
   Staleness out;
   out.age = db.clock().now() - last_exec_;
 
-  const qry::SpjQuery core = spj_core();
-  std::vector<rel::Schema> schemas;
-  std::vector<std::size_t> cards;
-  for (const auto& ref : core.from) {
-    schemas.push_back(qry::qualify(db.table(ref.table).schema(), ref));
-    cards.push_back(db.table(ref.table).size());
-  }
-  const qry::PlannedQuery planned = qry::plan(core, schemas, cards);
-
-  for (std::size_t i = 0; i < core.from.size(); ++i) {
-    const auto& d = db.delta(core.from[i].table);
-    // Pin so GC cannot truncate the window between the change test and
-    // the insertion/deletion copies below.
-    const auto pin = d.pin_reads();
-    if (!d.changed_since(last_exec_)) continue;
-    Relation ins = d.insertions(last_exec_);
-    Relation del = d.deletions(last_exec_);
-    out.pending_changes += ins.size() + del.size();
-    const alg::ExprPtr f = planned.filter(i);
-    if (alg::is_always_true(f)) {
-      out.relevant_changes += ins.size() + del.size();
-    } else {
-      ins.set_schema(schemas[i]);
-      del.set_schema(schemas[i]);
-      out.relevant_changes +=
-          alg::select(ins, *f).size() + alg::select(del, *f).size();
-    }
+  const qry::BoundFrom from = qry::bind_from(core_, db);
+  const qry::PlannedQuery planned = from.plan(core_);
+  for (std::size_t i = 0; i < core_.from.size(); ++i) {
+    const BoundDelta d = filtered_delta(db, core_.from[i].table, from.schemas[i],
+                                        planned.filter(i), last_exec_);
+    out.pending_changes += d.rows_read;
+    out.relevant_changes += d.rows.size();
   }
   return out;
 }
@@ -125,23 +92,15 @@ std::string ContinualQuery::explain(const cat::Database& db) const {
   os << "  executions: " << executions_ << ", last at t=" << last_exec_.to_string()
      << "\n";
 
-  const qry::SpjQuery core = spj_core();
-  std::vector<rel::Schema> schemas;
-  std::vector<std::size_t> cards;
-  for (const auto& ref : core.from) {
-    schemas.push_back(qry::qualify(db.table(ref.table).schema(), ref));
-    cards.push_back(db.table(ref.table).size());
-  }
-  const qry::PlannedQuery planned = qry::plan(core, schemas, cards);
-  os << "  " << planned.to_string(core);
+  os << "  " << qry::bind_from(core_, db).plan(core_).to_string(core_);
 
-  for (std::size_t i = 0; i < core.from.size(); ++i) {
-    const auto& d = db.delta(core.from[i].table);
+  for (std::size_t i = 0; i < core_.from.size(); ++i) {
+    const auto& d = db.delta(core_.from[i].table);
     const auto pin = d.pin_reads();  // hold GC off while we count the window
     const std::size_t pending =
         d.changed_since(last_exec_) ? d.net_effect(last_exec_).size() : 0;
-    os << "  Δ" << core.from[i].table << ": " << pending << " pending net rows";
-    const auto names = db.index_names(core.from[i].table);
+    os << "  Δ" << core_.from[i].table << ": " << pending << " pending net rows";
+    const auto names = db.index_names(core_.from[i].table);
     if (!names.empty()) {
       os << " (indexes:";
       for (const auto& n : names) os << " " << n;
@@ -231,42 +190,44 @@ rel::Relation distinct_from_counts(const rel::TupleBag& counts, const rel::Schem
 
 }  // namespace
 
-Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
-                                                common::Metrics* metrics) {
-  const qry::SpjQuery core = spj_core();
-  Relation spj = recompute(core, db, metrics);
-  if (metrics != nullptr) metrics->add(common::metric::kQueryExecutions, 1);
+bool ContinualQuery::keeps_saved_result() const noexcept {
+  // DISTINCT and aggregate CQs deliver from their own state; a plain CQ
+  // needs the saved result to deliver a complete one.
+  return spec_.strategy == ExecutionStrategy::kRecompute ||
+         (spec_.mode == DeliveryMode::kComplete && !spec_.query.is_aggregate() &&
+          !spec_.query.distinct);
+}
 
-  Notification note;
-  note.cq_name = spec_.name;
-
+void ContinualQuery::rebuild_state(Relation spj) {
   saved_result_.reset();
   result_counts_.reset();
   agg_state_.reset();
   if (spec_.query.is_aggregate()) {
     agg_state_.emplace(spj.schema(), spec_.query.group_by, spec_.query.aggregates);
     agg_state_->initialize(spj);
-    note.aggregate = delivered_aggregate();
-    note.complete = note.aggregate;
-    // ΔQ plumbing still needs the previous SPJ result under kRecompute.
-    if (spec_.strategy == ExecutionStrategy::kRecompute) saved_result_ = spj;
-    note.delta.inserted = Relation(spj.schema());
-    note.delta.deleted = Relation(spj.schema());
   } else if (spec_.query.distinct) {
     result_counts_.emplace();
     for (const auto& row : spj.rows()) result_counts_->add(row, +1);
-    note.complete = distinct_from_counts(*result_counts_, spj.schema());
-    if (spec_.strategy == ExecutionStrategy::kRecompute) saved_result_ = spj;
-    note.delta.inserted = Relation(spj.schema());
-    note.delta.deleted = Relation(spj.schema());
-  } else {
-    note.delta.inserted = Relation(spj.schema());
-    note.delta.deleted = Relation(spj.schema());
-    note.complete = spj;
-    if (spec_.mode == DeliveryMode::kComplete ||
-        spec_.strategy == ExecutionStrategy::kRecompute) {
-      saved_result_ = std::move(spj);
-    }
+  }
+  if (keeps_saved_result()) saved_result_ = std::move(spj);
+}
+
+Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
+                                                common::Metrics* metrics) {
+  Relation spj = recompute(core_, db, metrics);
+  if (metrics != nullptr) metrics->add(common::metric::kQueryExecutions, 1);
+
+  Notification note;
+  note.cq_name = spec_.name;
+  note.delta.inserted = Relation(spj.schema());
+  note.delta.deleted = Relation(spj.schema());
+  if (!spec_.query.is_aggregate() && !spec_.query.distinct) note.complete = spj;
+  rebuild_state(std::move(spj));
+  if (agg_state_) {
+    note.aggregate = delivered_aggregate();
+    note.complete = note.aggregate;
+  } else if (result_counts_) {
+    note.complete = distinct_from_counts(*result_counts_, note.delta.inserted.schema());
   }
 
   reprime_pending_ = false;
@@ -276,15 +237,9 @@ Notification ContinualQuery::prime_from_scratch(const cat::Database& db,
 }
 
 bool ContinualQuery::needs_reprime() const noexcept {
-  if (reprime_pending_) return true;
-  if (spec_.query.is_aggregate()) {
-    if (!agg_state_) return true;
-  } else if (spec_.query.distinct) {
-    if (!result_counts_) return true;
-  } else if (spec_.mode == DeliveryMode::kComplete && !saved_result_) {
-    return true;
-  }
-  return spec_.strategy == ExecutionStrategy::kRecompute && !saved_result_;
+  const bool state_missing =
+      spec_.query.is_aggregate() ? !agg_state_ : spec_.query.distinct && !result_counts_;
+  return reprime_pending_ || state_missing || (keeps_saved_result() && !saved_result_);
 }
 
 Notification ContinualQuery::execute_initial(const cat::Database& db,
@@ -307,14 +262,12 @@ void ContinualQuery::restore(const cat::Database& db, Timestamp last_execution,
     throw common::InvalidArgument("CQ '" + spec_.name +
                                   "': restore needs executions >= 1");
   }
-  const qry::SpjQuery core = spj_core();
-
   // If garbage collection already reclaimed part of the rollback window
   // (last_execution, now], the inverted differential below would silently
   // reconstruct the *wrong* previous result (the truncated prefix of the
   // window is simply missing from the log). Detect it via the truncation
   // watermark and re-prime on the next execution instead of rolling back.
-  for (const auto& ref : core.from) {
+  for (const auto& ref : core_.from) {
     const auto reclaimed = db.delta(ref.table).truncated_through();
     if (reclaimed && *reclaimed > last_execution) {
       invalidate_saved_result();
@@ -326,26 +279,10 @@ void ContinualQuery::restore(const cat::Database& db, Timestamp last_execution,
 
   // Reconstruct the SPJ result as of last_execution: current state rolled
   // back by the inverted delta window (last_execution, now].
-  Relation spj = recompute(core, db);
-  DiffResult window = dra_differential(core, db, last_execution, nullptr,
+  DiffResult window = dra_differential(core_, db, last_execution, nullptr,
                                        spec_.dra_options);
-  DiffResult inverted;
-  inverted.inserted = std::move(window.deleted);
-  inverted.deleted = std::move(window.inserted);
-  spj = apply_diff(spj, inverted);
-
-  if (spec_.query.is_aggregate()) {
-    agg_state_.emplace(spj.schema(), spec_.query.group_by, spec_.query.aggregates);
-    agg_state_->initialize(spj);
-    if (spec_.strategy == ExecutionStrategy::kRecompute) saved_result_ = std::move(spj);
-  } else if (spec_.query.distinct) {
-    result_counts_.emplace();
-    for (const auto& row : spj.rows()) result_counts_->add(row, +1);
-    if (spec_.strategy == ExecutionStrategy::kRecompute) saved_result_ = std::move(spj);
-  } else if (spec_.mode == DeliveryMode::kComplete ||
-             spec_.strategy == ExecutionStrategy::kRecompute) {
-    saved_result_ = std::move(spj);
-  }
+  std::swap(window.inserted, window.deleted);
+  rebuild_state(apply_diff(recompute(core_, db), window));
 
   executions_ = executions;
   last_exec_ = last_execution;
@@ -363,15 +300,13 @@ Notification ContinualQuery::execute(const cat::Database& db, common::Metrics* m
     ++executions_;
     return note;
   }
-  const qry::SpjQuery core = spj_core();
-
   // ---- ΔQ of the SPJ core ----
   DiffResult raw;
   if (spec_.strategy == ExecutionStrategy::kDra) {
-    raw = dra_differential(core, db, last_exec_, metrics, spec_.dra_options, stats);
+    raw = dra_differential(core_, db, last_exec_, metrics, spec_.dra_options, stats);
     if (saved_result_) saved_result_ = apply_diff(*saved_result_, raw);
   } else {
-    Relation current = recompute(core, db, metrics);
+    Relation current = recompute(core_, db, metrics);
     raw = diff(*saved_result_, current);
     saved_result_ = std::move(current);
   }

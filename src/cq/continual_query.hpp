@@ -187,9 +187,15 @@ class ContinualQuery {
 
  private:
   [[nodiscard]] TriggerContext context(const cat::Database& db) const;
-  [[nodiscard]] qry::SpjQuery spj_core() const;
   /// The aggregate relation as the user sees it (HAVING applied).
   [[nodiscard]] rel::Relation delivered_aggregate() const;
+  /// True when the mode/strategy needs the previous SPJ result itself:
+  /// always under kRecompute, and for a plain (no DISTINCT, no aggregate)
+  /// CQ that delivers complete results.
+  [[nodiscard]] bool keeps_saved_result() const noexcept;
+  /// Rebuild every per-mode artifact from the SPJ result `spj`: aggregate
+  /// state, DISTINCT multiplicities, and the saved result when kept.
+  void rebuild_state(rel::Relation spj);
   /// Full recompute + per-mode state rebuild; shared by execute_initial
   /// and the re-prime path. Fills everything in the notification except
   /// the sequence number, and sets last_exec_ to now.
@@ -200,6 +206,8 @@ class ContinualQuery {
   [[nodiscard]] bool needs_reprime() const noexcept;
 
   CqSpec spec_;
+  /// spec_.query.spj_core(), fixed at construction.
+  qry::SpjQuery core_;
   std::vector<std::string> relations_;
   common::Timestamp last_exec_;
   std::uint64_t executions_ = 0;

@@ -20,70 +20,56 @@ using rel::Relation;
 
 namespace {
 
-/// A relation with signs: rows in `pos` carry weight +1, rows in `neg`
-/// weight −1. Multiset semantics throughout.
-struct Signed {
-  Relation pos;
-  Relation neg;
+/// A relation with signs: rows in `inserted` carry weight +1, rows in
+/// `deleted` weight −1. Multiset semantics throughout.
+using Signed = DiffResult;
 
-  [[nodiscard]] bool zero() const noexcept { return pos.empty() && neg.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return pos.size() + neg.size(); }
-};
-
+/// alg::join, except that an empty input yields the empty result without
+/// touching the other side.
 Relation join_plain(const Relation& a, const Relation& b, const ExprPtr& predicate,
                     bool use_hash, Metrics* metrics) {
   if (a.empty() || b.empty()) {
     return Relation(a.schema().concat(b.schema()));
   }
-  if (use_hash) return alg::join(a, b, predicate, metrics);
-  // Nested-loop ablation: still push single-side conjuncts, but never build
-  // a hash table.
-  alg::JoinAnalysis analysis = alg::analyze_join(predicate, a.schema(), b.schema());
-  const Relation* l = &a;
-  const Relation* r = &b;
-  Relation lf;
-  Relation rf;
-  if (!analysis.left_only.empty()) {
-    lf = alg::select(a, *alg::conjoin(analysis.left_only), metrics);
-    l = &lf;
-  }
-  if (!analysis.right_only.empty()) {
-    rf = alg::select(b, *alg::conjoin(analysis.right_only), metrics);
-    r = &rf;
-  }
-  std::vector<ExprPtr> rest = analysis.residual;
-  for (const auto& [lc, rc] : analysis.equi_pairs) {
-    rest.push_back(alg::Expr::cmp(alg::CmpOp::kEq,
-                                  alg::Expr::col(a.schema().at(lc).name),
-                                  alg::Expr::col(b.schema().at(rc).name)));
-  }
-  const ExprPtr residual = alg::conjoin(rest);
-  return alg::nested_loop_join(*l, *r,
-                               alg::is_always_true(residual) ? nullptr : residual.get(),
-                               metrics);
+  return alg::join(a, b, predicate, metrics, use_hash);
 }
 
 /// (a ⋈ b) with sign bookkeeping: (a⁺−a⁻) ⋈ (b⁺−b⁻)
 ///   = a⁺⋈b⁺ + a⁻⋈b⁻  −  (a⁺⋈b⁻ + a⁻⋈b⁺).
 Signed signed_join(const Signed& a, const Signed& b, const ExprPtr& predicate,
                    bool use_hash, Metrics* metrics) {
+  auto j = [&](const Relation& x, const Relation& y) {
+    return join_plain(x, y, predicate, use_hash, metrics);
+  };
   Signed out;
-  out.pos = alg::union_all(join_plain(a.pos, b.pos, predicate, use_hash, metrics),
-                           join_plain(a.neg, b.neg, predicate, use_hash, metrics));
-  out.neg = alg::union_all(join_plain(a.pos, b.neg, predicate, use_hash, metrics),
-                           join_plain(a.neg, b.pos, predicate, use_hash, metrics));
+  out.inserted = alg::union_all(j(a.inserted, b.inserted), j(a.deleted, b.deleted));
+  out.deleted = alg::union_all(j(a.inserted, b.deleted), j(a.deleted, b.inserted));
   return out;
 }
 
-std::vector<std::string> canonical_names(const std::vector<rel::Schema>& schemas) {
-  std::vector<std::string> names;
-  for (const auto& s : schemas) {
-    for (const auto& a : s.attributes()) names.push_back(a.name);
-  }
-  return names;
-}
-
 }  // namespace
+
+BoundDelta filtered_delta(const cat::Database& db, const std::string& table,
+                          const rel::Schema& schema, const ExprPtr& filter, Timestamp since,
+                          Metrics* metrics) {
+  BoundDelta out;
+  const auto& d = db.delta(table);
+  // Pin before reading ΔR: GC must not truncate the window between
+  // changed_since and the insertions/deletions copies.
+  const auto pin = d.pin_reads();
+  if (!d.changed_since(since)) return out;
+  out.rows.inserted = d.insertions(since);
+  out.rows.deleted = d.deletions(since);
+  out.rows_read = out.rows.size();
+  if (out.rows_read == 0) return out;  // e.g. insert+delete collapsed
+  out.rows.inserted.set_schema(schema);
+  out.rows.deleted.set_schema(schema);
+  if (!alg::is_always_true(filter)) {
+    out.rows.inserted = alg::select(out.rows.inserted, *filter, metrics);
+    out.rows.deleted = alg::select(out.rows.deleted, *filter, metrics);
+  }
+  return out;
+}
 
 DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
                             Timestamp since, Metrics* metrics, const DraOptions& options,
@@ -106,15 +92,13 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   obs::Span span("dra.differential", dra_hist);
   if (metrics != nullptr) metrics->add(common::metric::kDraInvocations, 1);
 
-  // ---- bind inputs: current base + signed delta per FROM entry ----
-  std::vector<rel::Schema> schemas;
-  schemas.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    schemas.push_back(qry::qualify(db.table(query.from[i].table).schema(), query.from[i]));
-  }
+  // ---- bind inputs and plan once: per-table filters (Section 5.2) ----
+  const qry::BoundFrom from = qry::bind_from(query, db);
+  const std::vector<rel::Schema>& schemas = from.schemas;
+  const qry::PlannedQuery planned = from.plan(query);
 
   // Output schema for (possibly empty) results.
-  const std::vector<std::string> canon = canonical_names(schemas);
+  const std::vector<std::string> canon = qry::canonical_columns(schemas);
   rel::Schema joined_schema;
   for (const auto& s : schemas) joined_schema = joined_schema.concat(s);
   const rel::Schema out_schema =
@@ -127,58 +111,26 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   std::vector<Signed> delta(n);       // filtered, qualified ΔRi (signed)
   std::vector<std::size_t> changed;   // indexes of changed FROM entries
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& d = db.delta(query.from[i].table);
-    // Pin before reading ΔRi: GC must not truncate the window between
-    // changed_since and the insertions/deletions copies.
-    const auto pin = d.pin_reads();
-    if (!d.changed_since(since)) continue;
-    Relation ins = d.insertions(since);
-    Relation del = d.deletions(since);
-    st.delta_rows_read += ins.size() + del.size();
+    BoundDelta d =
+        filtered_delta(db, query.from[i].table, schemas[i], planned.filter(i), since, metrics);
+    st.delta_rows_read += d.rows_read;
     if (metrics != nullptr) {
-      metrics->add(common::metric::kDeltaRowsScanned,
-                   static_cast<std::int64_t>(ins.size() + del.size()));
+      metrics->add(common::metric::kDeltaRowsScanned, static_cast<std::int64_t>(d.rows_read));
     }
-    if (ins.empty() && del.empty()) continue;  // e.g. insert+delete collapsed
-    ins.set_schema(schemas[i]);
-    del.set_schema(schemas[i]);
-    delta[i] = Signed{std::move(ins), std::move(del)};
+    if (d.rows_read == 0) continue;
+    delta[i] = std::move(d.rows);
     changed.push_back(i);
   }
   st.changed_relations = changed.size();
   if (changed.empty()) return result;
-
-  // ---- plan once: per-table filters + join conjuncts (Section 5.2) ----
-  std::vector<std::size_t> cards;
-  cards.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) cards.push_back(db.table(query.from[i].table).size());
-  const qry::PlannedQuery planned = qry::plan(query, schemas, cards);
-
-  // Filter the deltas by their table's pushed-down selection. Selection
-  // commutes with the substitution, so this both implements the Section 5.2
-  // irrelevance check and shrinks every term.
-  bool any_relevant = false;
-  for (auto i : changed) {
-    const ExprPtr f = planned.filter(i);
-    if (!alg::is_always_true(f)) {
-      delta[i].pos = alg::select(delta[i].pos, *f, metrics);
-      delta[i].neg = alg::select(delta[i].neg, *f, metrics);
-    }
-    if (!delta[i].zero()) any_relevant = true;
-  }
   if (options.irrelevance_check) {
     // Section 5.2 refinement: updates whose filtered delta is empty cannot
     // affect the result — drop them from the truth table, and skip the
     // whole re-evaluation when nothing relevant remains. Without the flag
     // the DRA machinery below runs regardless (empty terms still enumerate
     // and unchanged-side base states still get bound).
-    if (!any_relevant) {
-      st.skipped_irrelevant = true;
-      if (metrics != nullptr) metrics->add(common::metric::kDraSkippedIrrelevant, 1);
-      return result;
-    }
     changed.erase(std::remove_if(changed.begin(), changed.end(),
-                                 [&](std::size_t i) { return delta[i].zero(); }),
+                                 [&](std::size_t i) { return delta[i].empty(); }),
                   changed.end());
     if (changed.empty()) {
       st.skipped_irrelevant = true;
@@ -204,7 +156,7 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
       if (!alg::is_always_true(f)) base[i] = alg::select(base[i], *f, metrics);
       if (metrics != nullptr) {
         metrics->add(common::metric::kBaseRowsScanned,
-                     static_cast<std::int64_t>(db.table(query.from[i].table).size()));
+                     static_cast<std::int64_t>(from.cardinalities[i]));
       }
       base_built[i] = true;
     }
@@ -213,8 +165,7 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
 
   // ---- truth table: one signed SPJ term per non-zero row (step 2) ----
   if (k > 20) throw common::InvalidArgument("dra: too many changed relations");
-  Relation sum_pos(joined_schema);
-  Relation sum_neg(joined_schema);
+  Signed sum{Relation(joined_schema), Relation(joined_schema)};
 
   // Probe an unchanged position's *persistent index* (when one covers an
   // equi conjunct against the already-joined accumulator) instead of
@@ -224,30 +175,10 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
                             const std::vector<ExprPtr>& applicable,
                             Signed& out) -> bool {
     const rel::Relation& base_table = db.table(query.from[p].table);
-    // Collect equi pairs (acc column, base column) from the applicable
-    // conjuncts; positions in schemas[p] equal positions in the base schema.
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    for (const auto& conjunct : applicable) {
-      if (conjunct->kind() != alg::Expr::Kind::kCompare ||
-          conjunct->cmp_op() != alg::CmpOp::kEq) {
-        continue;
-      }
-      const auto& a = conjunct->children()[0];
-      const auto& b = conjunct->children()[1];
-      if (a->kind() != alg::Expr::Kind::kColumn ||
-          b->kind() != alg::Expr::Kind::kColumn) {
-        continue;
-      }
-      const auto a_acc = acc.pos.schema().find(a->column());
-      const auto a_base = schemas[p].find(a->column());
-      const auto b_acc = acc.pos.schema().find(b->column());
-      const auto b_base = schemas[p].find(b->column());
-      if (a_acc && b_base && !a_base && !b_acc) {
-        pairs.emplace_back(*a_acc, *b_base);
-      } else if (b_acc && a_base && !b_base && !a_acc) {
-        pairs.emplace_back(*b_acc, *a_base);
-      }
-    }
+    // Equi pairs (acc column, base column) among the applicable conjuncts;
+    // positions in schemas[p] equal positions in the base schema.
+    const ExprPtr residual = alg::conjoin(applicable);
+    const auto pairs = alg::analyze_join(residual, acc.inserted.schema(), schemas[p]).equi_pairs;
     if (pairs.empty()) return false;
 
     // Prefer an index covering all equi columns, else any single one.
@@ -279,7 +210,7 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
       if (!found) return false;
     }
 
-    const rel::Schema combined = acc.pos.schema().concat(schemas[p]);
+    const rel::Schema combined = acc.inserted.schema().concat(schemas[p]);
     // The base table's own pushed-down filter runs on the matched base row
     // (schemas[p] has the base table's column positions), so a row it
     // rejects is never concatenated. The applicable conjuncts, equi pairs
@@ -287,7 +218,6 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     // them), run on the joined row.
     const ExprPtr base_filter = planned.filter(p);
     const bool check_base = !alg::is_always_true(base_filter);
-    const ExprPtr residual = alg::conjoin(applicable);
     const bool check_residual = !alg::is_always_true(residual);
 
     auto probe_side = [&](const Relation& side, Relation& result) {
@@ -307,10 +237,10 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
         }
       }
     };
-    out.pos = Relation(combined);
-    out.neg = Relation(combined);
-    probe_side(acc.pos, out.pos);
-    probe_side(acc.neg, out.neg);
+    out.inserted = Relation(combined);
+    out.deleted = Relation(combined);
+    probe_side(acc.inserted, out.inserted);
+    probe_side(acc.deleted, out.deleted);
     st.index_probes += acc.size();
     return true;
   };
@@ -330,8 +260,8 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     }
     for (std::size_t i = 0; i < n && !term_zero; ++i) {
       if (bound[i] != nullptr) {
-        if (bound[i]->zero()) term_zero = true;
-      } else if (db.table(query.from[i].table).empty()) {
+        if (bound[i]->empty()) term_zero = true;
+      } else if (from.cardinalities[i] == 0) {
         term_zero = true;
       }
     }
@@ -349,18 +279,17 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
         term_cards.push_back(bound[i]->size());
         // Delta sides are qualified and already filter-reduced; sampling
         // them stops the planner double-counting the filter's selectivity.
-        term_samples[i] = &bound[i]->pos;
+        term_samples[i] = &bound[i]->inserted;
       } else {
-        term_cards.push_back(db.table(query.from[i].table).size());
+        term_cards.push_back(from.cardinalities[i]);
       }
     }
     const qry::PlannedQuery term_plan =
         qry::plan(query, schemas, term_cards, &term_samples);
 
-    std::vector<ExprPtr> pending = term_plan.join_conjuncts;
     std::vector<Signed> materialized(n);
     auto bind_base = [&](std::size_t p) -> const Signed& {
-      if (materialized[p].pos.schema().empty()) {
+      if (materialized[p].inserted.schema().empty()) {
         materialized[p] = Signed{base_of(p), Relation(schemas[p])};
       }
       return materialized[p];
@@ -368,20 +297,9 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
 
     const std::size_t first = term_plan.join_order[0];
     Signed acc = bound[first] != nullptr ? *bound[first] : bind_base(first);
-    for (std::size_t step = 1; step < n && !acc.zero(); ++step) {
+    for (std::size_t step = 1; step < n && !acc.empty(); ++step) {
       const std::size_t p = term_plan.join_order[step];
-      const rel::Schema combined = acc.pos.schema().concat(schemas[p]);
-      std::vector<ExprPtr> applicable;
-      std::vector<ExprPtr> still_pending;
-      for (const auto& conjunct : pending) {
-        if (conjunct->resolves_in(combined)) {
-          applicable.push_back(conjunct);
-        } else {
-          still_pending.push_back(conjunct);
-        }
-      }
-      pending = std::move(still_pending);
-
+      const std::vector<ExprPtr>& applicable = term_plan.step_conjuncts[step - 1];
       Signed via_index;
       if (bound[p] == nullptr && options.use_persistent_indexes &&
           try_index_join(acc, p, applicable, via_index)) {
@@ -392,41 +310,38 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
       acc = signed_join(acc, next, alg::conjoin(applicable), options.use_hash_join,
                         metrics);
     }
-    if (acc.zero()) continue;
-    if (!pending.empty()) {
-      const ExprPtr rest = alg::conjoin(pending);
-      acc.pos = alg::select(acc.pos, *rest, metrics);
-      acc.neg = alg::select(acc.neg, *rest, metrics);
+    if (acc.empty()) continue;
+    if (!term_plan.residual.empty()) {
+      const ExprPtr rest = alg::conjoin(term_plan.residual);
+      acc.inserted = alg::select(acc.inserted, *rest, metrics);
+      acc.deleted = alg::select(acc.deleted, *rest, metrics);
     }
 
     // Canonical column order so all terms line up.
     if (n > 1) {
-      acc.pos = alg::project(acc.pos, canon, false, metrics);
-      acc.neg = alg::project(acc.neg, canon, false, metrics);
+      acc.inserted = alg::project(acc.inserted, canon, false, metrics);
+      acc.deleted = alg::project(acc.deleted, canon, false, metrics);
     }
 
     // Term sign: unchanged positions bind the *current* state, so the term
     // carries (−1)^(|b|+1).
     const bool positive = (popcount % 2) == 1;
-    sum_pos = alg::union_all(sum_pos, positive ? acc.pos : acc.neg);
-    sum_neg = alg::union_all(sum_neg, positive ? acc.neg : acc.pos);
+    sum.inserted = alg::union_all(sum.inserted, positive ? acc.inserted : acc.deleted);
+    sum.deleted = alg::union_all(sum.deleted, positive ? acc.deleted : acc.inserted);
   }
 
   // ---- projection (DiffProj: linear, keeps signs), then consolidation ----
   if (!query.projection.empty()) {
-    sum_pos = alg::project(sum_pos, query.projection, false, metrics);
-    sum_neg = alg::project(sum_neg, query.projection, false, metrics);
+    sum.inserted = alg::project(sum.inserted, query.projection, false, metrics);
+    sum.deleted = alg::project(sum.deleted, query.projection, false, metrics);
   }
-  DiffResult raw;
-  raw.inserted = std::move(sum_pos);
-  raw.deleted = std::move(sum_neg);
   if (metrics != nullptr) {
     metrics->add(common::metric::kDraTermsEvaluated,
                  static_cast<std::int64_t>(st.terms_evaluated));
     metrics->add(common::metric::kIndexProbes,
                  static_cast<std::int64_t>(st.index_probes));
   }
-  return raw.consolidated();
+  return sum.consolidated();
 }
 
 }  // namespace cq::core

@@ -25,6 +25,9 @@
 // property tests in tests/dra_oracle_test.cpp check exactly this.
 #pragma once
 
+#include <string>
+
+#include "algebra/expr.hpp"
 #include "catalog/database.hpp"
 #include "common/metrics.hpp"
 #include "common/timestamp.hpp"
@@ -57,6 +60,25 @@ struct DraStats {
   std::size_t index_probes = 0;       // accumulator rows probed into indexes
   bool skipped_irrelevant = false;    // irrelevance check short-circuited
 };
+
+/// One FROM entry's ΔR as the DRA binds it (see filtered_delta).
+struct BoundDelta {
+  /// Insertions (weight +1) and deletions (weight −1), filtered.
+  DiffResult rows;
+  /// Net-effect rows read before the filter.
+  std::size_t rows_read = 0;
+};
+
+/// ΔR of `table` for the updates committed after `since`, alias-qualified
+/// to `schema` and reduced by the entry's pushed-down selection `filter`.
+/// Selection commutes with the DRA's substitution, so this is both the
+/// Section 5.2 irrelevance check and the delta every term binds. Holds the
+/// delta log's GC pin for the read.
+[[nodiscard]] BoundDelta filtered_delta(const cat::Database& db, const std::string& table,
+                                        const rel::Schema& schema,
+                                        const alg::ExprPtr& filter,
+                                        common::Timestamp since,
+                                        common::Metrics* metrics = nullptr);
 
 /// Compute ΔQ of the SPJ core of `query` for all updates committed after
 /// `since`. Aggregates/DISTINCT must be handled by the caller (the

@@ -37,6 +37,19 @@ void SpjQuery::validate() const {
   }
 }
 
+SpjQuery SpjQuery::spj_core() const {
+  SpjQuery core = *this;
+  core.distinct = false;
+  core.order_by.clear();
+  if (core.is_aggregate()) {
+    core.projection.clear();
+    core.aggregates.clear();
+    core.group_by.clear();
+    core.having = nullptr;
+  }
+  return core;
+}
+
 std::string SpjQuery::to_string() const {
   std::ostringstream os;
   os << "SELECT ";

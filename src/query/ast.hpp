@@ -55,6 +55,12 @@ struct SpjQuery {
 
   [[nodiscard]] bool is_aggregate() const noexcept { return !aggregates.empty(); }
 
+  /// The SPJ core: no DISTINCT and no ORDER BY, and for an aggregate query
+  /// no aggregation either, with every joined column kept for the
+  /// aggregates to read. The DRA maintains ΔQ of this core; DISTINCT and
+  /// the aggregates are maintained on top of it.
+  [[nodiscard]] SpjQuery spj_core() const;
+
   /// True when the SPJ shape is valid: at least one table, no duplicate
   /// aliases. Throws InvalidArgument otherwise.
   void validate() const;

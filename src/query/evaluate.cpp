@@ -57,29 +57,15 @@ Relation evaluate_spj_over(const SpjQuery& query,
     if (trace != nullptr) trace->scan_rows[i] = bound[i]->size();
   }
 
-  // Join in planner order, applying join conjuncts as soon as they resolve.
-  std::vector<ExprPtr> pending = planned.join_conjuncts;
+  // Join in planner order; each step applies the conjuncts the plan gave it.
   Relation acc = *bound[planned.join_order[0]];
   for (std::size_t step = 1; step < n; ++step) {
-    const Relation& next = *bound[planned.join_order[step]];
-    const rel::Schema combined = acc.schema().concat(next.schema());
-    std::vector<ExprPtr> applicable;
-    std::vector<ExprPtr> still_pending;
-    for (const auto& c : pending) {
-      if (c->resolves_in(combined)) {
-        applicable.push_back(c);
-      } else {
-        still_pending.push_back(c);
-      }
-    }
-    pending = std::move(still_pending);
-    acc = alg::join(acc, next, alg::conjoin(applicable), metrics);
+    acc = alg::join(acc, *bound[planned.join_order[step]],
+                    alg::conjoin(planned.step_conjuncts[step - 1]), metrics);
     if (trace != nullptr) trace->join_rows.push_back(acc.size());
   }
-  if (!pending.empty()) {
-    // Conjuncts that never resolved (e.g. reference unknown columns) —
-    // surface the error through expression evaluation.
-    acc = alg::select(acc, *alg::conjoin(pending), metrics);
+  if (!planned.residual.empty()) {
+    acc = alg::select(acc, *alg::conjoin(planned.residual), metrics);
     if (trace != nullptr) {
       trace->has_residual = true;
       trace->residual_rows = acc.size();
@@ -90,34 +76,34 @@ Relation evaluate_spj_over(const SpjQuery& query,
   if (!query.projection.empty()) {
     acc = alg::project(acc, query.projection, query.distinct, metrics);
   } else {
-    if (n > 1) {
-      // SELECT * over a join: the planner may have joined in any order, so
-      // restore the canonical FROM-order column layout (the DRA and the
-      // Propagate oracle rely on both producing the same schema).
-      std::vector<std::string> canonical;
-      for (const auto& s : schemas) {
-        for (const auto& a : s.attributes()) canonical.push_back(a.name);
-      }
-      acc = alg::project(acc, canonical, false, metrics);
-    }
+    // SELECT * over a join: restore the canonical FROM-order column layout
+    // (the DRA and the Propagate oracle rely on both producing it).
+    if (n > 1) acc = alg::project(acc, canonical_columns(schemas), false, metrics);
     if (query.distinct) acc = alg::distinct(acc);
   }
   if (trace != nullptr) trace->output_rows = acc.size();
   return acc;
 }
 
+namespace {
+/// Alias-qualified copies of the query's FROM tables, stored in
+/// `qualified`; returns pointers to them in FROM order.
+std::vector<const Relation*> qualified_inputs(const SpjQuery& query, const cat::Database& db,
+                                              std::vector<Relation>& qualified) {
+  std::vector<const Relation*> inputs;
+  qualified.reserve(query.from.size());
+  for (const auto& ref : query.from) {
+    inputs.push_back(&qualified.emplace_back(qualified_copy(db.table(ref.table), ref)));
+  }
+  return inputs;
+}
+}  // namespace
+
 Relation evaluate_spj(const SpjQuery& query, const cat::Database& db, Metrics* metrics,
                       SpjExecTrace* trace) {
   query.validate();
   std::vector<Relation> qualified;
-  qualified.reserve(query.from.size());
-  for (const auto& ref : query.from) {
-    qualified.push_back(qualified_copy(db.table(ref.table), ref));
-  }
-  std::vector<const Relation*> inputs;
-  inputs.reserve(qualified.size());
-  for (const auto& r : qualified) inputs.push_back(&r);
-  return evaluate_spj_over(query, inputs, metrics, trace);
+  return evaluate_spj_over(query, qualified_inputs(query, db, qualified), metrics, trace);
 }
 
 Relation apply_aggregates(const SpjQuery& query, const Relation& spj_result,
@@ -151,36 +137,14 @@ Relation apply_order_by(const SpjQuery& query, Relation input) {
 }
 
 Relation evaluate(const SpjQuery& query, const cat::Database& db, Metrics* metrics) {
-  // For aggregate queries the SPJ core must keep all columns the aggregates
-  // and group keys reference; the projection list is empty in that case.
   if (query.is_aggregate()) {
-    SpjQuery core = query;
-    core.projection.clear();
-    core.distinct = false;
-    core.aggregates.clear();
-    core.group_by.clear();
-    core.having = nullptr;
-    core.order_by.clear();
-    Relation spj = evaluate_spj(core, db, metrics);
+    Relation spj = evaluate_spj(query.spj_core(), db, metrics);
     return apply_order_by(query, apply_aggregates(query, spj, metrics));
   }
   return apply_order_by(query, evaluate_spj(query, db, metrics));
 }
 
 namespace {
-/// The SPJ core evaluate() runs for an aggregate query: all columns kept,
-/// aggregation stripped (see evaluate()).
-SpjQuery spj_core_of(const SpjQuery& query) {
-  SpjQuery core = query;
-  core.projection.clear();
-  core.distinct = false;
-  core.aggregates.clear();
-  core.group_by.clear();
-  core.having = nullptr;
-  core.order_by.clear();
-  return core;
-}
-
 std::string aggregate_label(const SpjQuery& query) {
   std::string label = "Aggregate [";
   for (std::size_t i = 0; i < query.aggregates.size(); ++i) {
@@ -217,38 +181,24 @@ QueryExplain explain_query(const SpjQuery& query, const cat::Database& db,
                            bool execute) {
   query.validate();
   const bool aggregate = query.is_aggregate();
-  const SpjQuery core = aggregate ? spj_core_of(query) : query;
+  const SpjQuery core = aggregate ? query.spj_core() : query;
 
   std::vector<Relation> qualified;
-  qualified.reserve(core.from.size());
-  for (const auto& ref : core.from) {
-    qualified.push_back(qualified_copy(db.table(ref.table), ref));
-  }
-  std::vector<const Relation*> inputs;
-  std::vector<rel::Schema> schemas;
-  std::vector<std::size_t> cards;
-  inputs.reserve(qualified.size());
-  schemas.reserve(qualified.size());
-  cards.reserve(qualified.size());
-  for (const auto& r : qualified) {
-    inputs.push_back(&r);
-    schemas.push_back(r.schema());
-    cards.push_back(r.size());
-  }
+  const std::vector<const Relation*> inputs = qualified_inputs(core, db, qualified);
 
   QueryExplain out;
+  SpjExecTrace trace;
   if (execute) {
-    SpjExecTrace trace;
     Relation spj = evaluate_spj_over(core, inputs, nullptr, &trace);
-    out.plan = trace.plan;
-    out.root = build_plan_tree(core, out.plan, schemas, &trace);
     out.result = aggregate ? apply_order_by(query, apply_aggregates(query, spj))
                            : apply_order_by(query, std::move(spj));
     out.executed = true;
+    out.plan = trace.plan;
   } else {
-    out.plan = plan(core, schemas, cards, &inputs);
-    out.root = build_plan_tree(core, out.plan, schemas);
+    const BoundFrom from = bind_from(core, db);
+    out.plan = plan(core, from.schemas, from.cardinalities, &inputs);
   }
+  out.root = build_plan_tree(core, out.plan, execute ? &trace : nullptr);
 
   if (aggregate) {
     ExplainNode agg;

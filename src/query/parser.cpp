@@ -147,7 +147,8 @@ class Parser {
         spec.kind = *kind;
         if (accept_symbol("*")) {
           if (spec.kind != AggKind::kCount) fail("only COUNT accepts *");
-          spec.column = "*";
+          // Not `= "*"`: GCC 12 raises a false -Wrestrict on that assignment.
+          spec.column = std::string(1, '*');
         } else {
           spec.column = expect_identifier("aggregate column");
         }

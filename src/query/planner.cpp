@@ -5,6 +5,7 @@
 
 #include "algebra/predicate.hpp"
 #include "algebra/simplify.hpp"
+#include "catalog/database.hpp"
 #include "common/error.hpp"
 
 namespace cq::qry {
@@ -13,6 +14,26 @@ using alg::ExprPtr;
 
 rel::Schema qualify(const rel::Schema& table_schema, const TableRef& ref) {
   return table_schema.qualified(ref.effective_alias());
+}
+
+BoundFrom bind_from(const SpjQuery& query, const cat::Database& db) {
+  BoundFrom out;
+  out.schemas.reserve(query.from.size());
+  out.cardinalities.reserve(query.from.size());
+  for (const auto& ref : query.from) {
+    const rel::Relation& table = db.table(ref.table);
+    out.schemas.push_back(qualify(table.schema(), ref));
+    out.cardinalities.push_back(table.size());
+  }
+  return out;
+}
+
+std::vector<std::string> canonical_columns(const std::vector<rel::Schema>& qualified_schemas) {
+  std::vector<std::string> names;
+  for (const auto& s : qualified_schemas) {
+    for (const auto& a : s.attributes()) names.push_back(a.name);
+  }
+  return names;
 }
 
 namespace {
@@ -124,6 +145,22 @@ PlannedQuery plan(const SpjQuery& query, const std::vector<rel::Schema>& qualifi
     joined[best] = true;
     out.join_order.push_back(best);
   }
+
+  // 4. Each join conjunct applies at the first join step whose combined
+  //    schema resolves it; what never resolves is the residual.
+  if (n > 1) out.step_conjuncts.resize(n - 1);
+  std::vector<ExprPtr> pending = out.join_conjuncts;
+  rel::Schema combined;
+  for (std::size_t step = 0; step < n && !pending.empty(); ++step) {
+    combined = combined.concat(qualified_schemas[out.join_order[step]]);
+    if (step == 0) continue;
+    std::vector<ExprPtr> still_pending;
+    for (const auto& c : pending) {
+      (c->resolves_in(combined) ? out.step_conjuncts[step - 1] : still_pending).push_back(c);
+    }
+    pending = std::move(still_pending);
+  }
+  out.residual = std::move(pending);
   return out;
 }
 
@@ -168,11 +205,10 @@ void render_node(const ExplainNode& node, std::size_t depth, std::ostringstream&
 }  // namespace
 
 ExplainNode build_plan_tree(const SpjQuery& query, const PlannedQuery& planned,
-                            const std::vector<rel::Schema>& qualified_schemas,
                             const SpjExecTrace* trace) {
   const std::size_t n = query.from.size();
-  if (planned.join_order.size() != n || qualified_schemas.size() != n) {
-    throw common::InvalidArgument("build_plan_tree: plan/schema count mismatch");
+  if (planned.join_order.size() != n) {
+    throw common::InvalidArgument("build_plan_tree: plan/query count mismatch");
   }
 
   auto scan_node = [&](std::size_t idx) {
@@ -195,22 +231,12 @@ ExplainNode build_plan_tree(const SpjQuery& query, const PlannedQuery& planned,
     return node;
   };
 
-  // Left-deep spine: same walk as evaluate_spj_over, conjuncts applied at
-  // the first join whose combined schema resolves them.
+  // Left-deep spine: each join step applies the conjuncts the plan gave it.
   ExplainNode acc = scan_node(planned.join_order[0]);
   double est = acc.estimated_rows;
-  rel::Schema combined = qualified_schemas[planned.join_order[0]];
-  std::vector<ExprPtr> pending = planned.join_conjuncts;
   for (std::size_t step = 1; step < n; ++step) {
-    const std::size_t idx = planned.join_order[step];
-    ExplainNode right = scan_node(idx);
-    combined = combined.concat(qualified_schemas[idx]);
-    std::vector<ExprPtr> applicable;
-    std::vector<ExprPtr> still_pending;
-    for (const auto& c : pending) {
-      (c->resolves_in(combined) ? applicable : still_pending).push_back(c);
-    }
-    pending = std::move(still_pending);
+    ExplainNode right = scan_node(planned.join_order[step]);
+    const std::vector<ExprPtr>& applicable = planned.step_conjuncts[step - 1];
 
     ExplainNode join;
     join.label = applicable.empty()
@@ -230,12 +256,12 @@ ExplainNode build_plan_tree(const SpjQuery& query, const PlannedQuery& planned,
     acc = std::move(join);
   }
 
-  if (!pending.empty()) {
+  if (!planned.residual.empty()) {
     ExplainNode filter;
-    filter.label = "Filter [" + alg::conjoin(pending)->to_string() + "]";
+    filter.label = "Filter [" + alg::conjoin(planned.residual)->to_string() + "]";
     if (est >= 0) {
       double e = est;
-      for (const auto& c : pending) e *= alg::estimate_selectivity(c);
+      for (const auto& c : planned.residual) e *= alg::estimate_selectivity(c);
       filter.estimated_rows = e;
       est = e;
     }

@@ -1,7 +1,9 @@
 // Heuristic planner (Section 5.2): decomposes the WHERE clause into
 // per-table filters ("Select before Join"), orders the per-table filter
-// conjuncts cheapest-first, and greedily orders joins smallest-estimate
-// first, preferring equi-connected tables.
+// conjuncts cheapest-first, greedily orders joins smallest-estimate first,
+// preferring equi-connected tables, and assigns each join conjunct to the
+// first join step that can evaluate it. Recompute (evaluate_spj_over), each
+// DRA term and EXPLAIN all run this one plan.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +15,10 @@
 #include "query/ast.hpp"
 #include "relation/relation.hpp"
 #include "relation/schema.hpp"
+
+namespace cq::cat {
+class Database;
+}  // namespace cq::cat
 
 namespace cq::qry {
 
@@ -26,6 +32,14 @@ struct PlannedQuery {
 
   /// FROM indexes in the order tables should be joined.
   std::vector<std::size_t> join_order;
+
+  /// Per join step (join_order[1..]): the join conjuncts that first resolve
+  /// in the schema joined so far, in join_conjuncts order.
+  std::vector<std::vector<alg::ExprPtr>> step_conjuncts;
+
+  /// Join conjuncts that resolve at no step (they name unknown columns):
+  /// a filter above the last join, where evaluating them reports the error.
+  std::vector<alg::ExprPtr> residual;
 
   /// Estimated post-filter cardinality per FROM entry (same order as
   /// SpjQuery::from) — the numbers the greedy join ordering ranked by.
@@ -69,7 +83,6 @@ struct SpjExecTrace {
 /// evaluate.hpp for the end-to-end path).
 [[nodiscard]] ExplainNode build_plan_tree(const SpjQuery& query,
                                           const PlannedQuery& planned,
-                                          const std::vector<rel::Schema>& qualified_schemas,
                                           const SpjExecTrace* trace = nullptr);
 
 /// Render `node` and its subtree with indentation, one operator per line:
@@ -94,5 +107,23 @@ inline constexpr std::size_t kPlannerSampleSize = 100;
 
 /// The alias-qualified schema of one FROM entry.
 [[nodiscard]] rel::Schema qualify(const rel::Schema& table_schema, const TableRef& ref);
+
+/// The FROM entries of a query bound to a database: each entry's
+/// alias-qualified schema and its table's current cardinality, FROM order.
+struct BoundFrom {
+  std::vector<rel::Schema> schemas;
+  std::vector<std::size_t> cardinalities;
+
+  /// qry::plan over these schemas and cardinalities.
+  [[nodiscard]] PlannedQuery plan(const SpjQuery& query) const {
+    return qry::plan(query, schemas, cardinalities);
+  }
+};
+[[nodiscard]] BoundFrom bind_from(const SpjQuery& query, const cat::Database& db);
+
+/// The columns of SELECT * over a join: every entry's qualified columns in
+/// FROM order, whatever order the plan joined them in.
+[[nodiscard]] std::vector<std::string> canonical_columns(
+    const std::vector<rel::Schema>& qualified_schemas);
 
 }  // namespace cq::qry

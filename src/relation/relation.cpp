@@ -62,14 +62,34 @@ Tuple Relation::erase(TupleId tid) {
   if (at == nullptr) {
     throw common::NotFound("Relation::erase: no tid " + tid.to_string());
   }
-  const std::size_t idx = *at;
-  Tuple removed = std::move(rows_[idx]);
-  by_tid_.erase(tid);
-  if (idx + 1 != rows_.size()) {
-    rows_[idx] = std::move(rows_.back());
-    if (rows_[idx].tid().valid()) by_tid_.assign(rows_[idx].tid(), idx);
-  }
+  return remove_at(*at);
+}
+
+Tuple Relation::remove_at(std::size_t i) {
+  Tuple removed = std::move(rows_[i]);
+  const std::size_t last = rows_.size() - 1;
+  if (i != last) rows_[i] = std::move(rows_[last]);
   rows_.pop_back();
+  if (removed.tid().valid()) {
+    std::size_t* at = by_tid_.find(removed.tid());
+    if (*at != i) {
+      --tid_repeats_;  // an unindexed repeat went; the indexed copy stays
+    } else {
+      // The indexed copy went: hand the entry to a remaining repeat, if any.
+      by_tid_.erase(removed.tid());
+      for (std::size_t j = 0; tid_repeats_ > 0 && j < rows_.size(); ++j) {
+        if (rows_[j].tid() == removed.tid()) {
+          by_tid_.assign(removed.tid(), j);
+          --tid_repeats_;
+          break;
+        }
+      }
+    }
+  }
+  if (i != last && rows_[i].tid().valid()) {
+    std::size_t* moved = by_tid_.find(rows_[i].tid());
+    if (*moved == last) *moved = i;
+  }
   return removed;
 }
 
@@ -98,6 +118,7 @@ void Relation::append(Tuple tuple) {
     if (by_tid_.contains(tuple.tid())) {
       // Derived results can legitimately carry repeated tids (e.g. a tuple
       // matched twice through a self-join); index only the first occurrence.
+      ++tid_repeats_;
     } else {
       by_tid_.assign(tuple.tid(), rows_.size());
       next_tid_ = std::max(next_tid_, tuple.tid().raw() + 1);
@@ -109,12 +130,7 @@ void Relation::append(Tuple tuple) {
 bool Relation::remove_one_by_value(const Tuple& values) {
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     if (rows_[i].same_values(values)) {
-      by_tid_.erase(rows_[i].tid());
-      if (i + 1 != rows_.size()) {
-        rows_[i] = std::move(rows_.back());
-        if (std::size_t* at = by_tid_.find(rows_[i].tid())) *at = i;
-      }
-      rows_.pop_back();
+      remove_at(i);
       return true;
     }
   }
@@ -122,17 +138,9 @@ bool Relation::remove_one_by_value(const Tuple& values) {
 }
 
 bool Relation::remove_one(const Tuple& tuple) {
-  if (tuple.tid().valid()) {
-    if (const std::size_t* at = by_tid_.find(tuple.tid())) {
-      const std::size_t idx = *at;
-      by_tid_.erase(tuple.tid());
-      if (idx + 1 != rows_.size()) {
-        rows_[idx] = std::move(rows_.back());
-        if (std::size_t* moved = by_tid_.find(rows_[idx].tid())) *moved = idx;
-      }
-      rows_.pop_back();
-      return true;
-    }
+  if (const std::size_t* at = by_tid_.find(tuple.tid())) {
+    remove_at(*at);
+    return true;
   }
   return remove_one_by_value(tuple);
 }

@@ -107,10 +107,16 @@ class Relation {
 
  private:
   void check_arity(const Tuple& t) const;
+  /// Remove rows_[i] by moving the last row into its place. Keeps the tid
+  /// index exact: every tid still present maps to a row carrying it, and
+  /// an absent tid has no entry.
+  Tuple remove_at(std::size_t i);
 
   Schema schema_;
   std::vector<Tuple> rows_;
   TidMap by_tid_;
+  /// Rows whose valid tid is indexed at another row (appended repeats).
+  std::size_t tid_repeats_ = 0;
   TupleId::rep next_tid_ = 1;
 };
 

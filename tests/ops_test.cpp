@@ -121,6 +121,67 @@ TEST(Join, AutoSelectsHashAndPushesDown) {
   EXPECT_LT(m.get(common::metric::kTuplesCompared), 9);
 }
 
+/// Sorted "v,v,...;" rendering of a relation's rows, for exact multisets.
+std::string render_rows(const Relation& r) {
+  std::string out;
+  for (const auto& row : r.sorted_rows()) {
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      out += (i == 0 ? "" : ",") + row.at(i).to_string();
+    }
+    out += ";";
+  }
+  return out;
+}
+
+TEST(Join, NestedLoopPathMatchesHashPath) {
+  // use_hash = false (the DRA's ablation A1) pushes the same one-sided
+  // conjuncts and checks the equi conjuncts on the concatenated row; both
+  // paths reject NULL keys. The pinned rows and comparison counts are those
+  // of the DRA's nested-loop join before it moved into alg::join.
+  Relation left = people();
+  left.append(Tuple{Value("dan"), Value::null()});
+  left.append(Tuple{Value("eve"), Value(2)});
+  Relation right = depts();
+  right.append(Tuple{Value::null(), Value("tbd")});
+  right.append(Tuple{Value(1), Value("lab")});
+  const auto eq = Expr::cmp(CmpOp::kEq, Expr::col("p.dept"), Expr::col("d.id"));
+  struct Case {
+    ExprPtr predicate;
+    std::string rows;
+    std::int64_t hash_compared;
+    std::int64_t loop_compared;
+  };
+  const std::string equi_rows =
+      "'ann',1,1,'eng';'ann',1,1,'lab';'bob',2,2,'ops';"
+      "'cat',1,1,'eng';'cat',1,1,'lab';'eve',2,2,'ops';";
+  const std::vector<Case> cases = {
+      {eq, equi_rows, 6, 25},
+      {Expr::cmp(CmpOp::kEq, Expr::col("d.id"), Expr::col("p.dept")), equi_rows, 6, 25},
+      {conjoin({eq, Expr::col_cmp("p.name", CmpOp::kNe, Value("bob")),
+                Expr::col_cmp("d.label", CmpOp::kNe, Value("hr"))}),
+       "'ann',1,1,'eng';'ann',1,1,'lab';'cat',1,1,'eng';'cat',1,1,'lab';'eve',2,2,'ops';", 5,
+       16},
+      {conjoin({eq, Expr::cmp(CmpOp::kGt,
+                              Expr::arith(ArithOp::kAdd, Expr::col("p.dept"), Expr::col("d.id")),
+                              Expr::lit(Value(3)))}),
+       "'bob',2,2,'ops';'eve',2,2,'ops';", 6, 25},
+      {conjoin({Expr::cmp(CmpOp::kLt, Expr::col("p.dept"), Expr::col("d.id")),
+                Expr::col_cmp("p.name", CmpOp::kNe, Value("ann"))}),
+       "'bob',2,3,'hr';'cat',1,2,'ops';'cat',1,3,'hr';'eve',2,3,'hr';", 20, 20},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    Metrics hash_m;
+    Metrics loop_m;
+    const Relation hashed = join(left, right, cases[i].predicate, &hash_m, true);
+    const Relation looped = join(left, right, cases[i].predicate, &loop_m, false);
+    EXPECT_EQ(render_rows(hashed), cases[i].rows);
+    EXPECT_EQ(render_rows(looped), cases[i].rows);
+    EXPECT_EQ(hash_m.get(common::metric::kTuplesCompared), cases[i].hash_compared);
+    EXPECT_EQ(loop_m.get(common::metric::kTuplesCompared), cases[i].loop_compared);
+  }
+}
+
 TEST(UnionAll, KeepsDuplicates) {
   const Relation out = union_all(people(), people());
   EXPECT_EQ(out.size(), 6u);

@@ -158,5 +158,135 @@ TEST(Evaluate, BareColumnResolvesAgainstAlias) {
   EXPECT_EQ(out.row(0).at(0), Value(100));
 }
 
+// ---- EXPLAIN over a three-way join ----
+//
+// B is the smallest input after its pushed-down filter, C is the cheaper
+// table connected to it, so the plan joins B, C, then A: `b.j = c.j`
+// applies at the first join step, `a.k = b.k` and `a.x + c.z > 5` first
+// resolve at the second.
+
+cat::Database chain_db() {
+  cat::Database db;
+  db.create_table("A", rel::Schema::of({{"k", ValueType::kInt}, {"x", ValueType::kInt}}));
+  db.create_table("B", rel::Schema::of({{"k", ValueType::kInt}, {"j", ValueType::kInt}}));
+  db.create_table("C", rel::Schema::of({{"j", ValueType::kInt}, {"z", ValueType::kInt}}));
+  auto txn = db.begin();
+  for (const auto& [k, x] : {std::pair{1, 1}, {2, 5}, {3, 9}, {4, 2}}) {
+    txn.insert("A", {Value(k), Value(x)});
+  }
+  for (const auto& [k, j] : {std::pair{1, 10}, {2, 20}, {3, 30}, {3, 10}, {5, 20}}) {
+    txn.insert("B", {Value(k), Value(j)});
+  }
+  for (const auto& [j, z] : {std::pair{10, 1}, {20, 7}, {30, 3}}) {
+    txn.insert("C", {Value(j), Value(z)});
+  }
+  txn.commit();
+  return db;
+}
+
+constexpr const char* kChainWhere =
+    "WHERE a.k = b.k AND b.j = c.j AND a.x + c.z > 5 AND b.j > 10";
+
+TEST(ExplainQuery, ThreeWayJoinEstimatesOnly) {
+  const cat::Database db = chain_db();
+  const QueryExplain ex = explain_query(
+      parse_query(std::string("SELECT a.x, c.z FROM A a, B b, C c ") + kChainWhere), db,
+      /*execute=*/false);
+  EXPECT_FALSE(ex.executed);
+  EXPECT_EQ(ex.to_string(),
+            "Project [a.x, c.z]  (est~0.1, actual=?)\n"
+            "  Join [((a.k = b.k) AND ((a.x + c.z) > 5))]  (est~0.1, actual=?)\n"
+            "    Join [(b.j = c.j)]  (est~0.9, actual=?)\n"
+            "      Scan B AS b [(b.j > 10)]  (est~3, actual=?)\n"
+            "      Scan C AS c  (est~3, actual=?)\n"
+            "    Scan A AS a  (est~4, actual=?)\n");
+}
+
+TEST(ExplainQuery, ThreeWayJoinExecuted) {
+  const cat::Database db = chain_db();
+  const QueryExplain ex = explain_query(
+      parse_query(std::string("SELECT a.x, c.z FROM A a, B b, C c ") + kChainWhere), db);
+  EXPECT_TRUE(ex.executed);
+  EXPECT_EQ(ex.result.size(), 2u);
+  EXPECT_EQ(render_plan_tree(ex.root),
+            "Project [a.x, c.z]  (est~0.1, actual=2)\n"
+            "  Join [((a.k = b.k) AND ((a.x + c.z) > 5))]  (est~0.1, actual=2)\n"
+            "    Join [(b.j = c.j)]  (est~0.9, actual=3)\n"
+            "      Scan B AS b [(b.j > 10)]  (est~3, actual=3)\n"
+            "      Scan C AS c  (est~3, actual=3)\n"
+            "    Scan A AS a  (est~4, actual=4)\n");
+}
+
+TEST(ExplainQuery, ResidualThatNeverResolves) {
+  // `b.missing` names no column, so the conjunct never resolves and runs
+  // as a Filter above the last join; C's filter empties the join first, so
+  // the executed plan never evaluates it.
+  const cat::Database db = chain_db();
+  const SpjQuery q = parse_query(std::string("SELECT * FROM A a, B b, C c ") +
+                                 kChainWhere + " AND c.z > 100 AND b.missing = 0");
+  EXPECT_EQ(explain_query(q, db, /*execute=*/false).to_string(),
+            "Project *  (est~0.0, actual=?)\n"
+            "  Filter [(b.missing = 0)]  (est~0.0, actual=?)\n"
+            "    Join [((a.k = b.k) AND ((a.x + c.z) > 5))]  (est~0.0, actual=?)\n"
+            "      Join [(b.j = c.j)]  (est~0.2, actual=?)\n"
+            "        Scan C AS c [(c.z > 100)]  (est~0.5, actual=?)\n"
+            "        Scan B AS b [(b.j > 10)]  (est~3, actual=?)\n"
+            "      Scan A AS a  (est~4, actual=?)\n");
+  const QueryExplain ex = explain_query(q, db);
+  EXPECT_TRUE(ex.result.empty());
+  EXPECT_EQ(ex.to_string(),
+            "Project *  (est~0.0, actual=0)\n"
+            "  Filter [(b.missing = 0)]  (est~0.0, actual=0)\n"
+            "    Join [((a.k = b.k) AND ((a.x + c.z) > 5))]  (est~0.0, actual=0)\n"
+            "      Join [(b.j = c.j)]  (est~0.2, actual=0)\n"
+            "        Scan C AS c [(c.z > 100)]  (est~0.5, actual=0)\n"
+            "        Scan B AS b [(b.j > 10)]  (est~3, actual=3)\n"
+            "      Scan A AS a  (est~4, actual=4)\n");
+}
+
+TEST(ExplainQuery, AggregateWithOrderBy) {
+  const cat::Database db = chain_db();
+  const SpjQuery q =
+      parse_query(std::string("SELECT c.z, COUNT(*) AS n, SUM(a.x) AS sx "
+                              "FROM A a, B b, C c ") +
+                  kChainWhere + " GROUP BY c.z HAVING n > 0 ORDER BY sx DESC");
+  EXPECT_EQ(explain_query(q, db, /*execute=*/false).to_string(),
+            "Sort [sx DESC]  (est~?, actual=?)\n"
+            "  Aggregate [COUNT(*), SUM(a.x)] GROUP BY [c.z] HAVING [(n > 0)]  (est~?, actual=?)\n"
+            "    Project *  (est~0.1, actual=?)\n"
+            "      Join [((a.k = b.k) AND ((a.x + c.z) > 5))]  (est~0.1, actual=?)\n"
+            "        Join [(b.j = c.j)]  (est~0.9, actual=?)\n"
+            "          Scan B AS b [(b.j > 10)]  (est~3, actual=?)\n"
+            "          Scan C AS c  (est~3, actual=?)\n"
+            "        Scan A AS a  (est~4, actual=?)\n");
+  const QueryExplain ex = explain_query(q, db);
+  EXPECT_EQ(ex.result.size(), 2u);
+  EXPECT_EQ(ex.to_string(),
+            "Sort [sx DESC]  (est~?, actual=2)\n"
+            "  Aggregate [COUNT(*), SUM(a.x)] GROUP BY [c.z] HAVING [(n > 0)]  (est~?, actual=2)\n"
+            "    Project *  (est~0.1, actual=2)\n"
+            "      Join [((a.k = b.k) AND ((a.x + c.z) > 5))]  (est~0.1, actual=2)\n"
+            "        Join [(b.j = c.j)]  (est~0.9, actual=3)\n"
+            "          Scan B AS b [(b.j > 10)]  (est~3, actual=3)\n"
+            "          Scan C AS c  (est~3, actual=3)\n"
+            "        Scan A AS a  (est~4, actual=4)\n");
+}
+
+TEST(ExplainQuery, OrderByOverJoin) {
+  const cat::Database db = chain_db();
+  const QueryExplain ex = explain_query(
+      parse_query(std::string("SELECT DISTINCT a.x FROM A a, B b, C c ") + kChainWhere +
+                  " ORDER BY a.x"),
+      db);
+  EXPECT_EQ(ex.to_string(),
+            "Sort [a.x]  (est~?, actual=2)\n"
+            "  Project DISTINCT [a.x]  (est~?, actual=2)\n"
+            "    Join [((a.k = b.k) AND ((a.x + c.z) > 5))]  (est~0.1, actual=2)\n"
+            "      Join [(b.j = c.j)]  (est~0.9, actual=3)\n"
+            "        Scan B AS b [(b.j > 10)]  (est~3, actual=3)\n"
+            "        Scan C AS c  (est~3, actual=3)\n"
+            "      Scan A AS a  (est~4, actual=4)\n");
+}
+
 }  // namespace
 }  // namespace cq::qry

@@ -236,7 +236,10 @@ TEST(TidMap, GrowsAcrossResizesAndKeepsEveryEntry) {
 }
 
 /// Reference Relation: the same row bookkeeping over a node-based
-/// std::unordered_map tid index.
+/// std::unordered_map tid index. A removal moves the last row into the
+/// hole; when the indexed copy of a tid goes, the entry moves to the first
+/// remaining row with that tid (or goes when none is left), and when an
+/// unindexed repeat goes, the entry stays.
 struct ModelRelation {
   std::vector<Tuple> rows;
   std::unordered_map<TupleId, std::size_t> by_tid;
@@ -245,15 +248,7 @@ struct ModelRelation {
     by_tid.emplace(t.tid(), rows.size());
     rows.push_back(std::move(t));
   }
-  void erase(TupleId tid) {
-    const std::size_t idx = by_tid.at(tid);
-    by_tid.erase(tid);
-    if (idx + 1 != rows.size()) {
-      rows[idx] = std::move(rows.back());
-      if (rows[idx].tid().valid()) by_tid[rows[idx].tid()] = idx;
-    }
-    rows.pop_back();
-  }
+  void erase(TupleId tid) { remove_at(by_tid.at(tid)); }
   void update(TupleId tid, std::vector<Value> values) {
     rows[by_tid.at(tid)] = Tuple(std::move(values), tid);
   }
@@ -264,8 +259,7 @@ struct ModelRelation {
   bool remove_one_by_value(const Tuple& values) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       if (!rows[i].same_values(values)) continue;
-      if (rows[i].tid().valid()) by_tid.erase(rows[i].tid());
-      move_last_to(i);
+      remove_at(i);
       return true;
     }
     return false;
@@ -274,21 +268,29 @@ struct ModelRelation {
     if (t.tid().valid()) {
       auto it = by_tid.find(t.tid());
       if (it != by_tid.end()) {
-        const std::size_t idx = it->second;
-        by_tid.erase(it);
-        move_last_to(idx);
+        remove_at(it->second);
         return true;
       }
     }
     return remove_one_by_value(t);
   }
-  void move_last_to(std::size_t i) {
-    if (i + 1 != rows.size()) {
-      rows[i] = std::move(rows.back());
-      auto it = by_tid.find(rows[i].tid());
-      if (it != by_tid.end()) it->second = i;
-    }
+  void remove_at(std::size_t i) {
+    const TupleId gone = rows[i].tid();
+    const std::size_t last = rows.size() - 1;
+    if (i != last) rows[i] = std::move(rows.back());
     rows.pop_back();
+    if (gone.valid() && by_tid.at(gone) == i) {
+      by_tid.erase(gone);
+      for (std::size_t j = 0; j < rows.size(); ++j) {
+        if (rows[j].tid() == gone) {
+          by_tid.emplace(gone, j);
+          break;
+        }
+      }
+    }
+    if (i != last && rows[i].tid().valid() && by_tid.at(rows[i].tid()) == last) {
+      by_tid[rows[i].tid()] = i;
+    }
   }
 };
 
@@ -308,6 +310,36 @@ void expect_same_state(const Relation& r, const ModelRelation& m, TupleId::rep m
     }
     ASSERT_EQ(r.contains(TupleId(t)), it != m.by_tid.end()) << "tid " << t;
   }
+  // The invariant itself: a tid still present maps to a row carrying it.
+  for (const auto& row : r.rows()) {
+    if (!row.tid().valid()) continue;
+    const Tuple* found = r.find(row.tid());
+    ASSERT_NE(found, nullptr) << "tid " << row.tid().raw();
+    ASSERT_EQ(found->tid(), row.tid());
+  }
+}
+
+TEST(Relation, RemovingARepeatedTidKeepsItIndexed) {
+  Relation r(two_cols());
+  r.append(Tuple({Value(1), Value("a")}, TupleId(7)));
+  r.append(Tuple({Value(2), Value("b")}, TupleId(7)));
+  ASSERT_TRUE(r.remove_one_by_value(Tuple{Value(2), Value("b")}));
+  ASSERT_NE(r.find(TupleId(7)), nullptr);
+  EXPECT_EQ(r.find(TupleId(7))->at(0), Value(1));
+  EXPECT_TRUE(r.contains(TupleId(7)));
+
+  // Removing the indexed copy hands the entry to a repeat that remains.
+  r.append(Tuple({Value(3), Value("c")}, TupleId(7)));
+  r.append(Tuple({Value(4), Value("d")}, TupleId(9)));
+  r.erase(TupleId(7));  // row 0 goes; tid 9 moves into it
+  ASSERT_NE(r.find(TupleId(7)), nullptr);
+  EXPECT_EQ(r.find(TupleId(7))->at(0), Value(3));
+  ASSERT_NE(r.find(TupleId(9)), nullptr);
+  EXPECT_EQ(r.find(TupleId(9))->at(0), Value(4));
+  ASSERT_TRUE(r.remove_one(Tuple({Value(3), Value("c")}, TupleId(7))));
+  EXPECT_EQ(r.find(TupleId(7)), nullptr);
+  EXPECT_FALSE(r.contains(TupleId(7)));
+  EXPECT_EQ(r.size(), 1u);
 }
 
 TEST(Relation, TidIndexMatchesUnorderedMapModel) {

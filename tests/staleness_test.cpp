@@ -100,5 +100,49 @@ TEST(Explain, JoinQueryShowsPlan) {
   EXPECT_NE(text.find("ΔNotes"), std::string::npos);
 }
 
+TEST(Explain, ThreeWayJoinPlanAndStaleness) {
+  cat::Database db;
+  db.create_table("A", rel::Schema::of({{"k", ValueType::kInt}, {"x", ValueType::kInt}}));
+  db.create_table("B", rel::Schema::of({{"k", ValueType::kInt}, {"j", ValueType::kInt}}));
+  db.create_table("C", rel::Schema::of({{"j", ValueType::kInt}, {"z", ValueType::kInt}}));
+  for (int k = 1; k <= 4; ++k) db.insert("A", {Value(k), Value(2 * k)});
+  for (int k = 1; k <= 4; ++k) db.insert("B", {Value(k), Value(10 * k)});
+  for (int j = 1; j <= 4; ++j) db.insert("C", {Value(10 * j), Value(j)});
+  db.create_index("B", "b_by_k", {"k"});
+  ContinualQuery cq(CqSpec::from_sql("chain",
+                                     "SELECT a.x, COUNT(*) AS n FROM A a, B b, C c "
+                                     "WHERE a.k = b.k AND b.j = c.j AND a.x + c.z > 5 "
+                                     "AND b.j > 10 AND c.z < 4 GROUP BY a.x ORDER BY n",
+                                     triggers::manual()),
+                    db);
+  (void)cq.execute_initial(db);
+
+  db.insert("B", {Value(5), Value(50)});  // passes b.j > 10
+  db.insert("B", {Value(6), Value(5)});   // filtered out by b.j > 10
+  db.insert("C", {Value(50), Value(9)});  // filtered out by c.z < 4
+  db.modify("A", db.table("A").rows().front().tid(), {Value(1), Value(7)});
+  const auto s = cq.staleness(db);
+  EXPECT_EQ(s.pending_changes, 5u);
+  EXPECT_EQ(s.relevant_changes, 3u);
+  EXPECT_EQ(cq.explain(db),
+            "CQ 'chain': SELECT a.x, COUNT(*) AS n FROM A AS a, B AS b, C AS c WHERE "
+            "(((((a.k = b.k) AND (b.j = c.j)) AND ((a.x + c.z) > 5)) AND (b.j > 10)) AND "
+            "(c.z < 4)) GROUP BY a.x ORDER BY n\n"
+            "  trigger: manual\n"
+            "  stop: never\n"
+            "  mode: differential, strategy: DRA\n"
+            "  executions: 1, last at t=12\n"
+            "  Plan for SELECT * FROM A AS a, B AS b, C AS c WHERE (((((a.k = b.k) AND "
+            "(b.j = c.j)) AND ((a.x + c.z) > 5)) AND (b.j > 10)) AND (c.z < 4))\n"
+            "  join order: c b a\n"
+            "  filter[b]: (b.j > 10)\n"
+            "  filter[c]: (c.z < 4)\n"
+            "  join predicate: (((a.k = b.k) AND (b.j = c.j)) AND ((a.x + c.z) > 5))\n"
+            "  ΔA: 1 pending net rows\n"
+            "  ΔB: 2 pending net rows (indexes: b_by_k)\n"
+            "  ΔC: 1 pending net rows\n"
+            "  staleness: 5 pending / 3 relevant changes, age 4 ticks\n");
+}
+
 }  // namespace
 }  // namespace cq::core
