@@ -72,7 +72,7 @@ ContinualQuery::Staleness ContinualQuery::staleness(const cat::Database& db) con
   out.age = db.clock().now() - last_exec_;
 
   const qry::BoundFrom from = qry::bind_from(core_, db);
-  const qry::PlannedQuery planned = from.plan(core_);
+  const qry::PlannedQuery planned = qry::plan(core_, from.schemas, from.cardinalities);
   for (std::size_t i = 0; i < core_.from.size(); ++i) {
     const BoundDelta d = filtered_delta(db, core_.from[i].table, from.schemas[i],
                                         planned.filter(i), last_exec_);
@@ -92,7 +92,8 @@ std::string ContinualQuery::explain(const cat::Database& db) const {
   os << "  executions: " << executions_ << ", last at t=" << last_exec_.to_string()
      << "\n";
 
-  os << "  " << qry::bind_from(core_, db).plan(core_).to_string(core_);
+  const qry::BoundFrom from = qry::bind_from(core_, db);
+  os << "  " << qry::plan(core_, from.schemas, from.cardinalities).to_string(core_);
 
   for (std::size_t i = 0; i < core_.from.size(); ++i) {
     const auto& d = db.delta(core_.from[i].table);

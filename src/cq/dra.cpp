@@ -20,10 +20,6 @@ using rel::Relation;
 
 namespace {
 
-/// A relation with signs: rows in `inserted` carry weight +1, rows in
-/// `deleted` weight −1. Multiset semantics throughout.
-using Signed = DiffResult;
-
 /// alg::join, except that an empty input yields the empty result without
 /// touching the other side.
 Relation join_plain(const Relation& a, const Relation& b, const ExprPtr& predicate,
@@ -34,14 +30,15 @@ Relation join_plain(const Relation& a, const Relation& b, const ExprPtr& predica
   return alg::join(a, b, predicate, metrics, use_hash);
 }
 
-/// (a ⋈ b) with sign bookkeeping: (a⁺−a⁻) ⋈ (b⁺−b⁻)
-///   = a⁺⋈b⁺ + a⁻⋈b⁻  −  (a⁺⋈b⁻ + a⁻⋈b⁺).
-Signed signed_join(const Signed& a, const Signed& b, const ExprPtr& predicate,
-                   bool use_hash, Metrics* metrics) {
+/// (a ⋈ b) with sign bookkeeping, reading a DiffResult as a signed
+/// relation (rows in `inserted` carry weight +1, rows in `deleted` −1,
+/// multiset semantics): (a⁺−a⁻) ⋈ (b⁺−b⁻) = a⁺⋈b⁺ + a⁻⋈b⁻ − (a⁺⋈b⁻ + a⁻⋈b⁺).
+DiffResult signed_join(const DiffResult& a, const DiffResult& b, const ExprPtr& predicate,
+                       bool use_hash, Metrics* metrics) {
   auto j = [&](const Relation& x, const Relation& y) {
     return join_plain(x, y, predicate, use_hash, metrics);
   };
-  Signed out;
+  DiffResult out;
   out.inserted = alg::union_all(j(a.inserted, b.inserted), j(a.deleted, b.deleted));
   out.deleted = alg::union_all(j(a.inserted, b.deleted), j(a.deleted, b.inserted));
   return out;
@@ -92,10 +89,8 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   obs::Span span("dra.differential", dra_hist);
   if (metrics != nullptr) metrics->add(common::metric::kDraInvocations, 1);
 
-  // ---- bind inputs and plan once: per-table filters (Section 5.2) ----
   const qry::BoundFrom from = qry::bind_from(query, db);
   const std::vector<rel::Schema>& schemas = from.schemas;
-  const qry::PlannedQuery planned = from.plan(query);
 
   // Output schema for (possibly empty) results.
   const std::vector<std::string> canon = qry::canonical_columns(schemas);
@@ -108,8 +103,20 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
   result.inserted = Relation(out_schema);
   result.deleted = Relation(out_schema);
 
-  std::vector<Signed> delta(n);       // filtered, qualified ΔRi (signed)
-  std::vector<std::size_t> changed;   // indexes of changed FROM entries
+  // An empty window needs no plan.
+  const bool any_changed =
+      std::any_of(query.from.begin(), query.from.end(), [&](const qry::TableRef& ref) {
+        const auto& d = db.delta(ref.table);
+        const auto pin = d.pin_reads();  // GC may truncate the log meanwhile
+        return d.changed_since(since);
+      });
+  if (!any_changed) return result;
+
+  // ---- plan once: per-table filters (Section 5.2) ----
+  const qry::PlannedQuery planned = qry::plan(query, schemas, from.cardinalities);
+
+  std::vector<DiffResult> delta(n);  // filtered, qualified ΔRi (signed)
+  std::vector<std::size_t> changed;  // indexes of changed FROM entries
   for (std::size_t i = 0; i < n; ++i) {
     BoundDelta d =
         filtered_delta(db, query.from[i].table, schemas[i], planned.filter(i), since, metrics);
@@ -165,15 +172,15 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
 
   // ---- truth table: one signed SPJ term per non-zero row (step 2) ----
   if (k > 20) throw common::InvalidArgument("dra: too many changed relations");
-  Signed sum{Relation(joined_schema), Relation(joined_schema)};
+  DiffResult sum{Relation(joined_schema), Relation(joined_schema)};
 
   // Probe an unchanged position's *persistent index* (when one covers an
   // equi conjunct against the already-joined accumulator) instead of
   // materializing and hashing its filtered base: O(|acc| · fanout) per term
   // rather than O(|base|). Returns false when no usable index exists.
-  auto try_index_join = [&](const Signed& acc, std::size_t p,
+  auto try_index_join = [&](const DiffResult& acc, std::size_t p,
                             const std::vector<ExprPtr>& applicable,
-                            Signed& out) -> bool {
+                            DiffResult& out) -> bool {
     const rel::Relation& base_table = db.table(query.from[p].table);
     // Equi pairs (acc column, base column) among the applicable conjuncts;
     // positions in schemas[p] equal positions in the base schema.
@@ -249,7 +256,7 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     // Bind each FROM position for this term: a changed position in b gets
     // its (signed, filtered) delta; the rest bind the current base state,
     // materialized lazily only if a join step actually needs it.
-    std::vector<const Signed*> bound(n, nullptr);
+    std::vector<const DiffResult*> bound(n, nullptr);
     bool term_zero = false;
     std::size_t popcount = 0;
     for (std::size_t c = 0; c < k; ++c) {
@@ -287,26 +294,26 @@ DiffResult dra_differential(const qry::SpjQuery& query, const cat::Database& db,
     const qry::PlannedQuery term_plan =
         qry::plan(query, schemas, term_cards, &term_samples);
 
-    std::vector<Signed> materialized(n);
-    auto bind_base = [&](std::size_t p) -> const Signed& {
+    std::vector<DiffResult> materialized(n);
+    auto bind_base = [&](std::size_t p) -> const DiffResult& {
       if (materialized[p].inserted.schema().empty()) {
-        materialized[p] = Signed{base_of(p), Relation(schemas[p])};
+        materialized[p] = DiffResult{base_of(p), Relation(schemas[p])};
       }
       return materialized[p];
     };
 
     const std::size_t first = term_plan.join_order[0];
-    Signed acc = bound[first] != nullptr ? *bound[first] : bind_base(first);
+    DiffResult acc = bound[first] != nullptr ? *bound[first] : bind_base(first);
     for (std::size_t step = 1; step < n && !acc.empty(); ++step) {
       const std::size_t p = term_plan.join_order[step];
       const std::vector<ExprPtr>& applicable = term_plan.step_conjuncts[step - 1];
-      Signed via_index;
+      DiffResult via_index;
       if (bound[p] == nullptr && options.use_persistent_indexes &&
           try_index_join(acc, p, applicable, via_index)) {
         acc = std::move(via_index);
         continue;
       }
-      const Signed& next = bound[p] != nullptr ? *bound[p] : bind_base(p);
+      const DiffResult& next = bound[p] != nullptr ? *bound[p] : bind_base(p);
       acc = signed_join(acc, next, alg::conjoin(applicable), options.use_hash_join,
                         metrics);
     }

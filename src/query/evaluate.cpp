@@ -16,6 +16,32 @@ Relation qualified_copy(const Relation& input, const TableRef& ref) {
   return out;
 }
 
+namespace {
+/// The schemas and cardinalities of already-qualified inputs, FROM order.
+BoundFrom bound_over(const std::vector<const Relation*>& inputs) {
+  BoundFrom out;
+  out.schemas.reserve(inputs.size());
+  out.cardinalities.reserve(inputs.size());
+  for (const Relation* r : inputs) {
+    out.schemas.push_back(r->schema());
+    out.cardinalities.push_back(r->size());
+  }
+  return out;
+}
+
+/// Alias-qualified copies of the query's FROM tables, stored in
+/// `qualified`; returns pointers to them in FROM order.
+std::vector<const Relation*> qualified_inputs(const SpjQuery& query, const cat::Database& db,
+                                              std::vector<Relation>& qualified) {
+  std::vector<const Relation*> inputs;
+  qualified.reserve(query.from.size());
+  for (const auto& ref : query.from) {
+    inputs.push_back(&qualified.emplace_back(qualified_copy(db.table(ref.table), ref)));
+  }
+  return inputs;
+}
+}  // namespace
+
 Relation evaluate_spj_over(const SpjQuery& query,
                            const std::vector<const Relation*>& inputs,
                            Metrics* metrics, SpjExecTrace* trace) {
@@ -27,19 +53,12 @@ Relation evaluate_spj_over(const SpjQuery& query,
   }
   const std::size_t n = inputs.size();
 
-  std::vector<rel::Schema> schemas;
-  std::vector<std::size_t> cards;
-  schemas.reserve(n);
-  cards.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    schemas.push_back(inputs[i]->schema());
-    cards.push_back(inputs[i]->size());
-  }
-  const PlannedQuery planned = plan(query, schemas, cards, &inputs);
+  const BoundFrom from = bound_over(inputs);
+  const PlannedQuery planned = plan(query, from.schemas, from.cardinalities, &inputs);
   if (trace != nullptr) {
     *trace = SpjExecTrace{};
     trace->plan = planned;
-    trace->input_rows = cards;
+    trace->input_rows = from.cardinalities;
     trace->scan_rows.resize(n);
   }
 
@@ -78,26 +97,12 @@ Relation evaluate_spj_over(const SpjQuery& query,
   } else {
     // SELECT * over a join: restore the canonical FROM-order column layout
     // (the DRA and the Propagate oracle rely on both producing it).
-    if (n > 1) acc = alg::project(acc, canonical_columns(schemas), false, metrics);
+    if (n > 1) acc = alg::project(acc, canonical_columns(from.schemas), false, metrics);
     if (query.distinct) acc = alg::distinct(acc);
   }
   if (trace != nullptr) trace->output_rows = acc.size();
   return acc;
 }
-
-namespace {
-/// Alias-qualified copies of the query's FROM tables, stored in
-/// `qualified`; returns pointers to them in FROM order.
-std::vector<const Relation*> qualified_inputs(const SpjQuery& query, const cat::Database& db,
-                                              std::vector<Relation>& qualified) {
-  std::vector<const Relation*> inputs;
-  qualified.reserve(query.from.size());
-  for (const auto& ref : query.from) {
-    inputs.push_back(&qualified.emplace_back(qualified_copy(db.table(ref.table), ref)));
-  }
-  return inputs;
-}
-}  // namespace
 
 Relation evaluate_spj(const SpjQuery& query, const cat::Database& db, Metrics* metrics,
                       SpjExecTrace* trace) {
@@ -195,7 +200,7 @@ QueryExplain explain_query(const SpjQuery& query, const cat::Database& db,
     out.executed = true;
     out.plan = trace.plan;
   } else {
-    const BoundFrom from = bind_from(core, db);
+    const BoundFrom from = bound_over(inputs);
     out.plan = plan(core, from.schemas, from.cardinalities, &inputs);
   }
   out.root = build_plan_tree(core, out.plan, execute ? &trace : nullptr);

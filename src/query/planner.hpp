@@ -113,11 +113,6 @@ inline constexpr std::size_t kPlannerSampleSize = 100;
 struct BoundFrom {
   std::vector<rel::Schema> schemas;
   std::vector<std::size_t> cardinalities;
-
-  /// qry::plan over these schemas and cardinalities.
-  [[nodiscard]] PlannedQuery plan(const SpjQuery& query) const {
-    return qry::plan(query, schemas, cardinalities);
-  }
 };
 [[nodiscard]] BoundFrom bind_from(const SpjQuery& query, const cat::Database& db);
 
